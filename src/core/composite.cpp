@@ -58,19 +58,27 @@ void CompositeAdaptationSystem::add_invariant(std::string name, std::string_view
   if (finalized()) throw std::logic_error("cannot add invariants after finalize()");
   expr::ExprPtr predicate = expr::parse(expression);
   // Validate component names eagerly, like InvariantSet::add does.
-  for (const std::string& variable : predicate->variables()) registry_.require(variable);
-  pending_invariants_.push_back(PendingInvariant{std::move(name), std::move(predicate)});
+  std::vector<config::ComponentId> components;
+  for (const std::string& variable : predicate->variables()) {
+    components.push_back(registry_.require(variable));
+  }
+  pending_invariants_.push_back(
+      PendingInvariant{std::move(name), std::move(predicate), std::move(components)});
 }
 
 void CompositeAdaptationSystem::add_action(std::string name, std::vector<std::string> removes,
                                            std::vector<std::string> adds, double cost,
                                            std::string description) {
   if (finalized()) throw std::logic_error("cannot add actions after finalize()");
-  for (const std::string& component : removes) registry_.require(component);
-  for (const std::string& component : adds) registry_.require(component);
-  pending_actions_.push_back(
-      PendingAction{std::move(name), std::move(removes), std::move(adds), cost,
-                    std::move(description)});
+  if (removes.empty() && adds.empty()) {
+    throw std::invalid_argument("action must add or remove at least one component");
+  }
+  std::vector<config::ComponentId> components;
+  for (const std::string& component : removes) components.push_back(registry_.require(component));
+  for (const std::string& component : adds) components.push_back(registry_.require(component));
+  pending_actions_.push_back(PendingAction{std::move(name), std::move(removes), std::move(adds),
+                                           cost, std::move(description),
+                                           std::move(components)});
 }
 
 void CompositeAdaptationSystem::attach_process(config::ProcessId process,
@@ -87,106 +95,108 @@ void CompositeAdaptationSystem::finalize() {
   // Collaborative sets: components connected through an invariant OR an
   // action collaborate and must be planned together.
   UnionFind sets(n);
+  const auto unite_all = [&](const std::vector<config::ComponentId>& components) {
+    for (std::size_t i = 1; i < components.size(); ++i) sets.unite(components[0], components[i]);
+  };
+  for (const PendingInvariant& invariant : pending_invariants_) unite_all(invariant.components);
+  for (const PendingAction& action : pending_actions_) unite_all(action.components);
+
+  // Shards in ascending order of their set's root id; node ids, and so every
+  // trace and fleet digest, follow this order.
+  std::vector<std::size_t> shard_of(n);
+  for (config::ComponentId id = 0; id < n; ++id) {
+    if (sets.find(id) != id) continue;
+    shard_of[id] = shards_.size();
+    auto shard = std::make_unique<Shard>();
+    shard->registry = std::make_unique<config::ComponentRegistry>();
+    shard->invariants = std::make_unique<config::InvariantSet>(*shard->registry);
+    shard->actions = std::make_unique<actions::ActionTable>(*shard->registry);
+    shards_.push_back(std::move(shard));
+  }
+  for (config::ComponentId id = 0; id < n; ++id) {
+    shard_of[id] = shard_of[sets.find(id)];
+    Shard& shard = *shards_[shard_of[id]];
+    shard.members.push_back(id);  // ascending by construction
+    const auto& info = registry_.info(id);
+    shard.registry->add(info.name, info.process, info.description);
+  }
+
+  // Each declaration goes to its set's shard (its components all share one
+  // set), so every shard sees its declarations in declaration order.
   for (const PendingInvariant& invariant : pending_invariants_) {
-    const auto variables = invariant.predicate->variables();
-    for (std::size_t i = 1; i < variables.size(); ++i) {
-      sets.unite(registry_.require(variables[0]), registry_.require(variables[i]));
+    if (invariant.components.empty()) {
+      // Constant invariants constrain every shard.
+      for (const auto& shard : shards_) shard->invariants->add(invariant.name, invariant.predicate);
+    } else {
+      shards_[shard_of[invariant.components.front()]]->invariants->add(invariant.name,
+                                                                       invariant.predicate);
     }
   }
   for (const PendingAction& action : pending_actions_) {
-    std::vector<std::string> all = action.removes;
-    all.insert(all.end(), action.adds.begin(), action.adds.end());
-    for (std::size_t i = 1; i < all.size(); ++i) {
-      sets.unite(registry_.require(all[0]), registry_.require(all[i]));
-    }
+    shards_[shard_of[action.components.front()]]->actions->add(
+        action.name, action.removes, action.adds, action.cost, action.description);
   }
 
-  std::map<std::size_t, std::vector<config::ComponentId>> grouped;
+  // Agents: one per attached process hosting a member of the shard, in
+  // attach order. Lanes: shards sharing a process must serialize (their
+  // agents drive the same AdaptableProcess); process-disjoint shards may
+  // adapt concurrently.
+  std::vector<std::pair<config::ProcessId, std::size_t>> hosts;  // (process, shard)
+  hosts.reserve(n);
   for (config::ComponentId id = 0; id < n; ++id) {
-    grouped[sets.find(id)].push_back(id);
+    hosts.emplace_back(registry_.process(id), shard_of[id]);
+  }
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  std::vector<std::vector<const PendingProcess*>> agents(shards_.size());
+  UnionFind lanes(shards_.size());
+  for (const PendingProcess& pending : pending_processes_) {
+    auto it = std::lower_bound(hosts.begin(), hosts.end(),
+                               std::pair<config::ProcessId, std::size_t>{pending.process, 0});
+    for (const auto first = it; it != hosts.end() && it->first == pending.process; ++it) {
+      agents[it->second].push_back(&pending);
+      lanes.unite(it->second, first->second);
+    }
   }
 
-  for (auto& [root, members] : grouped) {
-    auto shard = std::make_unique<Shard>();
-    shard->members = members;  // ascending by construction
-    shard->registry = std::make_unique<config::ComponentRegistry>();
-    for (const config::ComponentId id : members) {
-      const auto& info = registry_.info(id);
-      shard->registry->add(info.name, info.process, info.description);
-    }
-    shard->invariants = std::make_unique<config::InvariantSet>(*shard->registry);
-    for (const PendingInvariant& invariant : pending_invariants_) {
-      const auto variables = invariant.predicate->variables();
-      const bool belongs =
-          variables.empty() ||  // constant invariants constrain every shard
-          std::all_of(variables.begin(), variables.end(), [&](const std::string& name) {
-            return shard->registry->find(name).has_value();
-          });
-      if (belongs) shard->invariants->add(invariant.name, invariant.predicate);
-    }
-    shard->actions = std::make_unique<actions::ActionTable>(*shard->registry);
-    for (const PendingAction& action : pending_actions_) {
-      const std::string* probe =
-          !action.removes.empty() ? &action.removes.front() : &action.adds.front();
-      if (!shard->registry->find(*probe)) continue;
-      shard->actions->add(action.name, action.removes, action.adds, action.cost,
-                          action.description);
-    }
-
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
     const runtime::NodeId manager_node =
-        runtime_->transport().add_node("manager-s" + std::to_string(shards_.size()));
-    shard->manager_node = manager_node;
-    shard->manager = std::make_unique<proto::AdaptationManager>(
-        *runtime_, manager_node, *shard->invariants, *shard->actions, config_.manager);
-    shard->manager->set_observability(&tracer_, &metrics_);
+        runtime_->transport().add_node("manager-s" + std::to_string(s));
+    shard.manager_node = manager_node;
+    shard.manager = std::make_unique<proto::AdaptationManager>(
+        *runtime_, manager_node, *shard.invariants, *shard.actions, config_.manager);
+    shard.manager->set_observability(&tracer_, &metrics_);
     tracer_.set_node_track(manager_node, obs::kManagerTrack);
     // All shard managers share the manager track; their events stay
     // distinguishable through per-request spans.
     tracer_.set_track_name(obs::kManagerTrack, "managers");
 
-    // Agents: one per process hosting a member of this shard.
-    for (const PendingProcess& pending : pending_processes_) {
-      const bool hosts_member =
-          std::any_of(members.begin(), members.end(), [&](config::ComponentId id) {
-            return registry_.process(id) == pending.process;
-          });
-      if (!hosts_member) continue;
+    for (const PendingProcess* pending : agents[s]) {
       const runtime::NodeId agent_node = runtime_->transport().add_node(
-          "agent-s" + std::to_string(shards_.size()) + "-p" + std::to_string(pending.process));
+          "agent-s" + std::to_string(s) + "-p" + std::to_string(pending->process));
       runtime_->transport().connect_bidirectional(manager_node, agent_node,
                                                   config_.control_channel);
-      shard->agents.push_back(std::make_unique<proto::AdaptationAgent>(
-          runtime_->clock(), runtime_->transport(), agent_node, manager_node, *pending.target,
+      shard.agents.push_back(std::make_unique<proto::AdaptationAgent>(
+          runtime_->clock(), runtime_->transport(), agent_node, manager_node, *pending->target,
           config_.agent));
-      shard->agents.back()->set_observability(&tracer_, &metrics_,
-                                              static_cast<std::int64_t>(pending.process));
-      tracer_.set_track_name(static_cast<std::int64_t>(pending.process),
-                             "process-" + std::to_string(pending.process));
-      shard->manager->register_agent(pending.process, agent_node, pending.stage);
-      shard->processes.push_back(pending.process);
+      shard.agents.back()->set_observability(&tracer_, &metrics_,
+                                             static_cast<std::int64_t>(pending->process));
+      tracer_.set_track_name(static_cast<std::int64_t>(pending->process),
+                             "process-" + std::to_string(pending->process));
+      shard.manager->register_agent(pending->process, agent_node, pending->stage);
+      shard.processes.push_back(pending->process);
     }
-    shards_.push_back(std::move(shard));
   }
 
-  // Lanes: shards sharing a process must serialize (their agents drive the
-  // same AdaptableProcess); process-disjoint shards may adapt concurrently.
-  UnionFind lanes(shards_.size());
-  for (std::size_t a = 0; a < shards_.size(); ++a) {
-    for (std::size_t b = a + 1; b < shards_.size(); ++b) {
-      const auto& pa = shards_[a]->processes;
-      const auto& pb = shards_[b]->processes;
-      const bool overlap = std::any_of(pa.begin(), pa.end(), [&](config::ProcessId p) {
-        return std::find(pb.begin(), pb.end(), p) != pb.end();
-      });
-      if (overlap) lanes.unite(a, b);
-    }
+  // Lane indices in order of each lane's lowest shard.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> lane_of_root(shards_.size(), kNone);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::size_t& lane = lane_of_root[lanes.find(s)];
+    if (lane == kNone) lane = lane_count_++;
+    shards_[s]->lane = lane;
   }
-  std::map<std::size_t, std::size_t> lane_index;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::size_t root = lanes.find(i);
-    shards_[i]->lane = lane_index.emplace(root, lane_index.size()).first->second;
-  }
-  lane_count_ = lane_index.size();
 
   build_tree();
   SA_INFO("composite") << shards_.size() << " collaborative set(s) in " << lane_count_
@@ -227,18 +237,16 @@ void CompositeAdaptationSystem::build_tree() {
 
   // Leaves: group lanes by lane / lanes_per_leaf; a leaf executes its lanes'
   // shards directly (serial per lane, concurrent across lanes).
-  std::vector<Built> level;
+  std::vector<Built> level(leaf_count);
   for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
-    Built built;
-    built.index = make_coordinator(levels_ - 1, leaf);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s]->lane / lanes_per_leaf != leaf) continue;
-      coordinators_[built.index]->add_local_shard(static_cast<std::uint32_t>(s),
-                                                  static_cast<std::uint32_t>(shards_[s]->lane),
-                                                  *shards_[s]->manager);
-      built.covered.push_back(static_cast<std::uint32_t>(s));
-    }
-    level.push_back(std::move(built));
+    level[leaf].index = make_coordinator(levels_ - 1, leaf);
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Built& leaf = level[shards_[s]->lane / lanes_per_leaf];
+    coordinators_[leaf.index]->add_local_shard(static_cast<std::uint32_t>(s),
+                                               static_cast<std::uint32_t>(shards_[s]->lane),
+                                               *shards_[s]->manager);
+    leaf.covered.push_back(static_cast<std::uint32_t>(s));
   }
 
   // Interior levels, bottom-up: every `fanout` nodes share a parent.

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -116,6 +115,19 @@ class CompositeAdaptationSystem {
   /// Global component ids of shard `index`, ascending.
   const std::vector<config::ComponentId>& shard_members(std::size_t index) const;
   std::size_t lane_count() const { return lane_count_; }
+  /// Shard `index`'s projected invariants and actions, in declaration order.
+  const config::InvariantSet& shard_invariants(std::size_t index) const {
+    return *shards_.at(index)->invariants;
+  }
+  const actions::ActionTable& shard_actions(std::size_t index) const {
+    return *shards_.at(index)->actions;
+  }
+  /// Processes with an agent in shard `index`, in attach order.
+  const std::vector<config::ProcessId>& shard_processes(std::size_t index) const {
+    return shards_.at(index)->processes;
+  }
+  /// Concurrency lane of shard `index`.
+  std::size_t shard_lane(std::size_t index) const { return shards_.at(index)->lane; }
 
   // --- the manager tree ------------------------------------------------------
   std::size_t coordinator_count() const { return coordinators_.size(); }
@@ -194,6 +206,7 @@ class CompositeAdaptationSystem {
   struct PendingInvariant {
     std::string name;
     expr::ExprPtr predicate;
+    std::vector<config::ComponentId> components;  ///< its variables, by name
   };
   struct PendingAction {
     std::string name;
@@ -201,6 +214,7 @@ class CompositeAdaptationSystem {
     std::vector<std::string> adds;
     double cost;
     std::string description;
+    std::vector<config::ComponentId> components;  ///< removes, then adds
   };
   struct PendingProcess {
     config::ProcessId process;

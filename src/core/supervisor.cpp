@@ -1,8 +1,10 @@
 #include "core/supervisor.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -12,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -28,6 +31,30 @@ namespace {
 namespace fs = std::filesystem;
 
 void sleep_us(runtime::Time t) { std::this_thread::sleep_for(std::chrono::microseconds(t)); }
+
+using SteadyTime = std::chrono::steady_clock::time_point;
+
+SteadyTime deadline_after(runtime::Time timeout) {
+  return std::chrono::steady_clock::now() + std::chrono::microseconds(timeout);
+}
+
+/// Real time left until `deadline`, in microseconds, never negative.
+runtime::Time remaining_us(SteadyTime deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+      deadline - std::chrono::steady_clock::now());
+  return std::max<runtime::Time>(0, left.count());
+}
+
+/// A close-on-exec descriptor that polls readable once `pid` exits, or -1
+/// when the kernel has no pidfd_open.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -50,8 +77,11 @@ void write_file_atomic(const std::string& path, const std::string& content) {
 }  // namespace
 
 Supervisor::~Supervisor() {
-  for (const auto& [pid, name] : live_) ::kill(pid, SIGKILL);
-  for (const auto& [pid, name] : live_) ::waitpid(pid, nullptr, 0);
+  for (const auto& [pid, child] : live_) ::kill(pid, SIGKILL);
+  for (const auto& [pid, child] : live_) {
+    ::waitpid(pid, nullptr, 0);
+    if (child.pidfd >= 0) ::close(child.pidfd);
+  }
   live_.clear();
 }
 
@@ -73,7 +103,9 @@ pid_t Supervisor::spawn(const std::string& program, const std::vector<std::strin
     ::execv(program.c_str(), argv.data());
     _exit(127);
   }
-  live_.emplace(pid, name);
+  // The pid cannot be recycled before we reap it, so the pidfd names this
+  // child even if it has already exited.
+  live_.emplace(pid, Child{name, open_pidfd(pid)});
   return pid;
 }
 
@@ -96,7 +128,8 @@ std::vector<Supervisor::Exit> Supervisor::poll_exits() {
     }
     Exit exit;
     exit.pid = pid;
-    exit.name = it->second;
+    exit.name = it->second.name;
+    if (it->second.pidfd >= 0) ::close(it->second.pidfd);
     if (WIFSIGNALED(status)) {
       exit.signaled = true;
       exit.code = WTERMSIG(status);
@@ -111,34 +144,51 @@ std::vector<Supervisor::Exit> Supervisor::poll_exits() {
 
 bool Supervisor::alive(pid_t pid) const { return live_.contains(pid); }
 
+std::vector<Supervisor::Exit> Supervisor::wait_exits(runtime::Time timeout) {
+  const SteadyTime deadline = deadline_after(timeout);
+  std::vector<pollfd> fds;
+  for (;;) {
+    std::vector<Exit> exits = poll_exits();
+    const runtime::Time left = remaining_us(deadline);
+    if (!exits.empty() || live_.empty() || left == 0) return exits;
+    fds.clear();
+    for (const auto& [pid, child] : live_) {
+      if (child.pidfd >= 0) fds.push_back(pollfd{child.pidfd, POLLIN, 0});
+    }
+    // Round up so a sub-millisecond remainder still sleeps instead of spinning.
+    const runtime::Time wait_ms =
+        fds.size() == live_.size() ? (left + 999) / 1000 : 1;  // no pidfd: re-check each ms
+    ::poll(fds.data(), fds.size(),
+           static_cast<int>(std::min<runtime::Time>(wait_ms, std::numeric_limits<int>::max())));
+  }
+}
+
 Supervisor::Exit Supervisor::wait_exit(pid_t pid, runtime::Time timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(timeout);
+  const SteadyTime deadline = deadline_after(timeout);
   while (live_.contains(pid)) {
-    for (Exit& exit : poll_exits()) {
+    for (Exit& exit : wait_exits(remaining_us(deadline))) {
       if (exit.pid == pid) return exit;
       // Someone else exited; their Exit is lost to this caller by design
-      // (wait_exit is for single-child tests; the run loop uses poll_exits).
+      // (wait_exit is for single-child tests; the run loop uses wait_exits).
     }
-    if (std::chrono::steady_clock::now() >= deadline) return Exit{};
-    sleep_us(runtime::ms(2));
+    if (remaining_us(deadline) == 0) break;
   }
   return Exit{};
 }
 
 std::vector<Supervisor::Exit> Supervisor::terminate_all(runtime::Time grace) {
-  for (const auto& [pid, name] : live_) ::kill(pid, SIGTERM);
+  for (const auto& [pid, child] : live_) ::kill(pid, SIGTERM);
   std::vector<Exit> exits;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(grace);
-  while (!live_.empty() && std::chrono::steady_clock::now() < deadline) {
-    for (Exit& exit : poll_exits()) exits.push_back(std::move(exit));
-    if (!live_.empty()) sleep_us(runtime::ms(2));
-  }
-  if (!live_.empty()) {
-    for (const auto& [pid, name] : live_) ::kill(pid, SIGKILL);
-    while (!live_.empty()) {
-      for (Exit& exit : poll_exits()) exits.push_back(std::move(exit));
-      if (!live_.empty()) sleep_us(runtime::ms(2));
+  const auto reap_until = [&](SteadyTime deadline) {
+    while (!live_.empty() && remaining_us(deadline) > 0) {
+      for (Exit& exit : wait_exits(remaining_us(deadline))) exits.push_back(std::move(exit));
     }
+  };
+  reap_until(deadline_after(grace));
+  if (!live_.empty()) {
+    for (const auto& [pid, child] : live_) ::kill(pid, SIGKILL);
+    // SIGKILL cannot be caught; keep waiting until every child is reaped.
+    while (!live_.empty()) reap_until(deadline_after(runtime::seconds(1)));
   }
   return exits;
 }
@@ -381,7 +431,12 @@ DistributedReport run_distributed_paper(const DistributedOptions& options) {
       }
     }
 
-    for (const Supervisor::Exit& exit : supervisor.poll_exits()) {
+    // Sleep until the next crash action is due or a child exits.
+    const runtime::Time until_action =
+        next_action < actions.size() ? std::max<runtime::Time>(0, actions[next_action].at - elapsed)
+                                     : remaining_us(hard_deadline);
+    const runtime::Time wait = std::min(until_action, remaining_us(hard_deadline));
+    for (const Supervisor::Exit& exit : supervisor.wait_exits(wait)) {
       if (exit.name == "manager") {
         manager_done = true;
         if (exit.signaled || exit.code != 0) {
@@ -396,11 +451,10 @@ DistributedReport run_distributed_paper(const DistributedOptions& options) {
       }
     }
 
-    if (std::chrono::steady_clock::now() >= hard_deadline) {
+    if (!manager_done && std::chrono::steady_clock::now() >= hard_deadline) {
       infra("supervisor: manager did not exit within the deadline");
       break;
     }
-    if (!manager_done) sleep_us(runtime::ms(2));
   }
 
   // --- revive crash victims the run outlived ---------------------------------

@@ -37,7 +37,10 @@ namespace sa::core {
 /// tests; run_distributed_paper() builds on it.
 class Supervisor {
  public:
+  Supervisor() = default;
   ~Supervisor();  ///< SIGKILLs and reaps anything still alive
+  Supervisor(const Supervisor&) = delete;
+  Supervisor& operator=(const Supervisor&) = delete;
 
   struct Exit {
     pid_t pid = -1;
@@ -59,6 +62,13 @@ class Supervisor {
   /// exit is returned exactly once.
   std::vector<Exit> poll_exits();
 
+  /// Blocking, deadline-bounded reap: waits until at least one live child
+  /// has exited or `timeout` real time passes, then reaps like poll_exits().
+  /// Empty only on timeout or when no child is live. The wait sleeps on each
+  /// child's pidfd, so an exit wakes it at once; a child without one (kernel
+  /// before Linux 5.3) is re-checked every millisecond instead.
+  std::vector<Exit> wait_exits(runtime::Time timeout);
+
   /// True while the child exists and has not been reaped.
   bool alive(pid_t pid) const;
 
@@ -73,7 +83,11 @@ class Supervisor {
   std::size_t live_count() const { return live_.size(); }
 
  private:
-  std::map<pid_t, std::string> live_;  ///< pid -> node name
+  struct Child {
+    std::string name;
+    int pidfd = -1;  ///< readable once the child exits; -1 if unavailable
+  };
+  std::map<pid_t, Child> live_;
 };
 
 /// One Crash window translated to supervisor actions: kill -9 the named node

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sa::sim {
@@ -8,8 +9,10 @@ EventId Simulator::schedule_at(Time t, std::function<void()> fn) {
   if (t < now_) throw std::invalid_argument("cannot schedule event in the past");
   if (!fn) throw std::invalid_argument("event callback must be non-empty");
   const EventId id = next_id_++;
-  queue_.push(Event{t, id, std::move(fn)});
-  alive_.insert(id);
+  queue_.push_back(Event{t, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  alive_.push_back(1);
+  ++pending_;
   return id;
 }
 
@@ -21,22 +24,34 @@ bool Simulator::cancel(EventId id) {
   // Only live events are cancelable: an id that already fired (including one
   // that fired earlier at this very timestamp) reports false and leaves no
   // residue behind.
-  if (alive_.erase(id) == 0) return false;
-  cancelled_.insert(id);
-  // Cancelled ids stay in the queue and are skipped when popped; the set
-  // entry is erased at pop time, keeping both structures bounded.
+  if (!alive(id)) return false;
+  retire(id);
   return true;
+}
+
+void Simulator::retire(EventId id) {
+  alive_[id - window_base_] = 0;
+  --pending_;
+  while (head_ < alive_.size() && alive_[head_] == 0) ++head_;
+  if (head_ >= 64 && 2 * head_ >= alive_.size()) {
+    alive_.erase(alive_.begin(), alive_.begin() + static_cast<std::ptrdiff_t>(head_));
+    window_base_ += head_;
+    head_ = 0;
+  }
+}
+
+Simulator::Event Simulator::pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
+  return event;
 }
 
 bool Simulator::step() {
   while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
-    if (const auto it = cancelled_.find(event.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    alive_.erase(event.id);
+    Event event = pop();
+    if (!alive(event.id)) continue;  // cancelled while queued
+    retire(event.id);
     now_ = event.time;
     event.fn();
     return true;
@@ -53,10 +68,9 @@ std::size_t Simulator::run(std::size_t max_events) {
 std::size_t Simulator::run_until(Time deadline) {
   std::size_t count = 0;
   while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (cancelled_.contains(top.id)) {
-      cancelled_.erase(top.id);
-      queue_.pop();
+    const Event& top = queue_.front();
+    if (!alive(top.id)) {
+      pop();
       continue;
     }
     if (top.time > deadline) break;

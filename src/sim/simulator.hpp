@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/clock.hpp"
@@ -55,7 +53,7 @@ class Simulator final : public runtime::Clock {
   /// `deadline`. Returns events run.
   std::size_t run_until(Time deadline);
 
-  std::size_t pending_events() const { return alive_.size(); }
+  std::size_t pending_events() const { return pending_; }
 
  private:
   struct Event {
@@ -70,11 +68,27 @@ class Simulator final : public runtime::Clock {
     }
   };
 
+  bool alive(EventId id) const {
+    return id >= window_base_ && id < next_id_ && alive_[id - window_base_] != 0;
+  }
+  /// Marks `id` fired or cancelled, then slides the window past the dead
+  /// prefix. Cancelled events stay in queue_ and are skipped when popped.
+  void retire(EventId id);
+  /// Moves the earliest event out of queue_.
+  Event pop();
+
   Time now_ = 0;
   EventId next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> alive_;      ///< scheduled, not yet fired/cancelled
-  std::unordered_set<EventId> cancelled_;  ///< cancelled, still in queue_
+  std::vector<Event> queue_;  ///< binary min-heap under Later
+  /// One flag per id in [window_base_, next_id_): scheduled and not yet fired
+  /// or cancelled. Ids below window_base_ + head_ are all dead; the vector
+  /// only drops its dead prefix once it is at least half the window, so
+  /// bookkeeping neither allocates in steady state nor grows past twice the
+  /// span between the oldest live id and the newest.
+  std::vector<std::uint8_t> alive_;
+  EventId window_base_ = 1;
+  std::size_t head_ = 0;
+  std::size_t pending_ = 0;
 };
 
 }  // namespace sa::sim

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/composite.hpp"
 #include "core/paper_scenario.hpp"
+#include "mixed_region.hpp"
 #include "proto/conformance.hpp"
 #include "sim/network.hpp"
 
@@ -176,6 +179,73 @@ TEST(Composite, SharedProcessForcesSerialLane) {
   EXPECT_EQ(process.applies, 2);
 }
 
+TEST(Composite, FinalizeProjectsDeclarationsPerShardInOrder) {
+  testing::MixedRegion region;
+  CompositeAdaptationSystem& system = region.system;
+  ASSERT_EQ(system.shard_count(), 4U);
+  EXPECT_EQ(system.lane_count(), 3U);
+
+  const auto invariant_names = [&](std::size_t shard) {
+    std::vector<std::string> names;
+    for (const auto& invariant : system.shard_invariants(shard).invariants()) {
+      names.push_back(invariant.name);
+    }
+    return names;
+  };
+  const auto action_names = [&](std::size_t shard) {
+    std::vector<std::string> names;
+    const actions::ActionTable& table = system.shard_actions(shard);
+    for (actions::ActionId id = 0; id < table.size(); ++id) names.push_back(table.action(id).name);
+    return names;
+  };
+  using Names = std::vector<std::string>;
+  using Processes = std::vector<config::ProcessId>;
+
+  // s0 {X, Y}: spans processes 1 and 0; agents follow attach order (0 before 1).
+  EXPECT_EQ(system.shard_members(0), (std::vector<config::ComponentId>{1, 4}));
+  EXPECT_EQ(invariant_names(0), (Names{"always", "xy", "tautology"}));
+  EXPECT_EQ(action_names(0), (Names{"swapXY"}));
+  EXPECT_EQ(system.shard_processes(0), (Processes{0, 1}));
+  EXPECT_EQ(system.shard_lane(0), 0U);
+  // s1 {P, Q, R}: shares process 0 with s0, so it shares s0's lane.
+  EXPECT_EQ(system.shard_members(1), (std::vector<config::ComponentId>{0, 2, 5}));
+  EXPECT_EQ(invariant_names(1), (Names{"pq", "always", "r-needs-pq", "tautology"}));
+  EXPECT_EQ(action_names(1), (Names{"swapPQ", "addR", "dropR", "backPQ"}));
+  EXPECT_EQ(system.shard_processes(1), (Processes{0}));
+  EXPECT_EQ(system.shard_lane(1), 0U);
+  // s2 {U, V}.
+  EXPECT_EQ(system.shard_members(2), (std::vector<config::ComponentId>{3, 6}));
+  EXPECT_EQ(invariant_names(2), (Names{"always", "uv", "tautology"}));
+  EXPECT_EQ(action_names(2), (Names{"swapUV"}));
+  EXPECT_EQ(system.shard_processes(2), (Processes{2}));
+  EXPECT_EQ(system.shard_lane(2), 1U);
+  // s3 {W}: untouched by any declaration; only the constants constrain it.
+  EXPECT_EQ(system.shard_members(3), (std::vector<config::ComponentId>{7}));
+  EXPECT_EQ(invariant_names(3), (Names{"always", "tautology"}));
+  EXPECT_TRUE(action_names(3).empty());
+  EXPECT_EQ(system.shard_processes(3), (Processes{3}));
+  EXPECT_EQ(system.shard_lane(3), 2U);
+
+  // Node creation order: each shard's manager then its agents, then the
+  // coordinators leaves first. Node ids (and so traces and digests) follow it.
+  const runtime::Transport& transport = system.runtime().transport();
+  Names nodes;
+  for (runtime::NodeId node = 0; node < transport.node_count(); ++node) {
+    nodes.push_back(transport.node_name(node));
+  }
+  EXPECT_EQ(nodes, (Names{"manager-s0", "agent-s0-p0", "agent-s0-p1", "manager-s1",
+                          "agent-s1-p0", "manager-s2", "agent-s2-p2", "manager-s3",
+                          "agent-s3-p3", "coord-d2-0", "coord-d2-1", "coord-d2-2",
+                          "coord-d1-0", "coord-d1-1", "coord-d0-0"}));
+  EXPECT_EQ(system.tree_depth(), 3U);
+
+  system.set_current_configuration(region.source());
+  const CompositeResult result = system.adapt_and_wait(region.target());
+  EXPECT_TRUE(result.success);
+  EXPECT_EQ(result.final_config, region.target());
+  EXPECT_EQ(region.p3.applies, 0);  // s3 is already at its target
+}
+
 TEST(Composite, PaperScenarioCollapsesToOneShard) {
   // The case study's invariants connect everything: sharding must be a no-op
   // and produce the same MAP behaviour as the plain system.
@@ -213,6 +283,7 @@ TEST(Composite, LifecycleGuards) {
   system.add_action("swap", {"A"}, {"B"}, 10);
   StubProcess process;
   system.attach_process(0, process, 0);
+  EXPECT_THROW(system.add_action("empty", {}, {}, 1), std::invalid_argument);
   EXPECT_THROW(system.set_current_configuration({}), std::logic_error);
   system.finalize();
   EXPECT_THROW(system.finalize(), std::logic_error);

@@ -144,6 +144,90 @@ TEST(Simulator, PendingEventsCount) {
   EXPECT_EQ(sim.pending_events(), 1U);
 }
 
+TEST(Simulator, LongLivedTimerSurvivesManyShortEventsThenCancels) {
+  // One timer stays pending while 100k short events are scheduled and fire
+  // behind it; it must stay cancelable, and cancel exactly once.
+  Simulator sim;
+  bool timer_fired = false;
+  const EventId timer = sim.schedule_at(seconds(1000), [&] { timer_fired = true; });
+  std::size_t fired = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    sim.schedule_after(us(1), [&] { ++fired; });
+    EXPECT_TRUE(sim.step());
+  }
+  EXPECT_EQ(fired, 100'000U);
+  EXPECT_EQ(sim.pending_events(), 1U);
+  EXPECT_TRUE(sim.cancel(timer));
+  EXPECT_FALSE(sim.cancel(timer));
+  EXPECT_EQ(sim.pending_events(), 0U);
+  EXPECT_EQ(sim.run(), 0U);
+  EXPECT_FALSE(timer_fired);
+  // Ids keep counting after the window has slid past the old ones.
+  const EventId next = sim.schedule_after(us(1), [] {});
+  EXPECT_EQ(next, timer + 100'001);
+  EXPECT_EQ(sim.run(), 1U);
+}
+
+TEST(Simulator, CancelRejectsZeroUnissuedAndRepeatedIds) {
+  Simulator sim;
+  const EventId a = sim.schedule_at(ms(1), [] {});
+  const EventId b = sim.schedule_at(ms(2), [] {});
+  EXPECT_FALSE(sim.cancel(0));
+  EXPECT_FALSE(sim.cancel(b + 1));  // the next id, not yet issued
+  EXPECT_FALSE(sim.cancel(b + 1000));
+  EXPECT_TRUE(sim.cancel(a));
+  EXPECT_FALSE(sim.cancel(a));
+  EXPECT_EQ(sim.pending_events(), 1U);
+  EXPECT_EQ(sim.run(), 1U);
+  EXPECT_FALSE(sim.cancel(b));  // fired
+  // The unissued id from before is now a real, cancelable event.
+  const EventId c = sim.schedule_after(ms(1), [] {});
+  EXPECT_EQ(c, b + 1);
+  EXPECT_TRUE(sim.cancel(c));
+}
+
+TEST(Simulator, RunUntilSkipsCancelledHeadEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId head = sim.schedule_at(ms(10), [&] { order.push_back(1); });
+  sim.schedule_at(ms(20), [&] { order.push_back(2); });
+  sim.schedule_at(ms(40), [&] { order.push_back(3); });
+  EXPECT_TRUE(sim.cancel(head));
+  EXPECT_EQ(sim.run_until(ms(30)), 1U);  // the cancelled head is not counted
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(sim.now(), ms(30));
+  EXPECT_EQ(sim.pending_events(), 1U);
+  EXPECT_EQ(sim.run_until(ms(40)), 1U);
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+TEST(Simulator, PendingEventsAfterCancelFromInsideHandler) {
+  // A handler cancels a pending event at its own timestamp and one later;
+  // the count drops at once, and neither cancelled event runs.
+  Simulator sim;
+  std::vector<int> order;
+  EventId same_time = 0;
+  EventId later = 0;
+  std::size_t pending_in_handler = 0;
+  sim.schedule_at(ms(5), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(sim.cancel(same_time));
+    EXPECT_TRUE(sim.cancel(later));
+    EXPECT_FALSE(sim.cancel(later));
+    pending_in_handler = sim.pending_events();
+  });
+  same_time = sim.schedule_at(ms(5), [&] { order.push_back(2); });
+  later = sim.schedule_at(ms(9), [&] { order.push_back(3); });
+  sim.schedule_at(ms(9), [&] { order.push_back(4); });
+  EXPECT_EQ(sim.pending_events(), 4U);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(pending_in_handler, 1U);
+  EXPECT_EQ(sim.pending_events(), 1U);
+  EXPECT_EQ(sim.run(), 1U);
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
+  EXPECT_EQ(sim.pending_events(), 0U);
+}
+
 // --- Network ---------------------------------------------------------------------
 
 struct TextMsg final : Message {

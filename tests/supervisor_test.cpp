@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -98,13 +99,40 @@ TEST(SupervisorPrimitives, PollExitsReapsEveryChildExactlyOnce) {
                                "child-" + std::to_string(i), log_path("child")),
               0);
   }
+  // Block on the children's exits rather than guessing how long they take.
   std::vector<Supervisor::Exit> exits;
-  for (int tries = 0; tries < 5000 && exits.size() < kChildren; ++tries) {
-    for (Supervisor::Exit& exit : supervisor.poll_exits()) exits.push_back(exit);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (exits.size() < kChildren && std::chrono::steady_clock::now() < deadline) {
+    for (Supervisor::Exit& exit : supervisor.wait_exits(runtime::seconds(30))) {
+      exits.push_back(exit);
+    }
   }
   ASSERT_EQ(exits.size(), static_cast<std::size_t>(kChildren));
   EXPECT_EQ(supervisor.live_count(), 0u);  // no zombies left behind
   EXPECT_TRUE(supervisor.poll_exits().empty());
+}
+
+TEST(SupervisorPrimitives, WaitExitsWakesOnExitAndTimesOutOnLivingChild) {
+  Supervisor supervisor;
+  // sleep itself, not a shell around it, so terminate_all leaves no orphan.
+  const pid_t lingerer = supervisor.spawn("/bin/sleep", {"30"}, "lingerer", log_path("lingerer"));
+  ASSERT_GT(lingerer, 0);
+  EXPECT_TRUE(supervisor.wait_exits(runtime::ms(50)).empty());  // timed out
+  EXPECT_TRUE(supervisor.alive(lingerer));
+
+  // A quick child's exit ends the wait long before its 60 s budget.
+  const pid_t quick =
+      supervisor.spawn("/bin/sh", {"-c", "exit 4"}, "quick", log_path("quick"));
+  ASSERT_GT(quick, 0);
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<Supervisor::Exit> exits = supervisor.wait_exits(runtime::seconds(60));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  ASSERT_EQ(exits.size(), 1u);
+  EXPECT_EQ(exits[0].pid, quick);
+  EXPECT_EQ(exits[0].code, 4);
+  EXPECT_TRUE(supervisor.alive(lingerer));
+  EXPECT_EQ(supervisor.terminate_all(runtime::seconds(5)).size(), 1u);
+  EXPECT_TRUE(supervisor.wait_exits(runtime::seconds(60)).empty());  // none live
 }
 
 TEST(SupervisorPrimitives, WaitExitTimesOutOnLivingChild) {

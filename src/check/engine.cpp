@@ -142,6 +142,19 @@ bool footprint_order_less(const ChoiceFootprint& a, const ChoiceFootprint& b) {
   return a.content < b.content;
 }
 
+/// Stable sort by footprint_order_less, in place. A state has a handful of
+/// enabled choices, and std::stable_sort allocates a merge buffer per call.
+void sort_footprints(std::vector<ChoiceFootprint>& footprints) {
+  for (std::size_t i = 1; i < footprints.size(); ++i) {
+    ChoiceFootprint key = footprints[i];
+    std::size_t j = i;
+    for (; j > 0 && footprint_order_less(key, footprints[j - 1]); --j) {
+      footprints[j] = footprints[j - 1];
+    }
+    footprints[j] = key;
+  }
+}
+
 struct WorkerQueue {
   std::mutex mu;
   std::deque<Frame> frames;
@@ -258,8 +271,7 @@ class FrontierEngine {
       for (const Choice& c : *awake) {
         scratch.footprints.push_back(frame.model.choice_footprint(c));
       }
-      std::stable_sort(scratch.footprints.begin(), scratch.footprints.end(),
-                       footprint_order_less);
+      sort_footprints(scratch.footprints);
     }
     const int child_depth = frame.depth + 1;
     for (std::size_t i = awake->size(); i > 0; --i) {

@@ -129,8 +129,29 @@ void Model::set_fail_to_reset(config::ProcessId process, bool fail) {
 }
 
 void Model::start() {
-  apply_manager_outputs(
-      manager_.step(proto::ManagerInput{now_, proto::ManagerInput::AdaptCommand{scenario_->target}}));
+  step_manager(proto::ManagerInput{now_, proto::ManagerInput::AdaptCommand{scenario_->target}});
+}
+
+void Model::set_record_transitions(bool record) {
+  record_transitions_ = record;
+  if (!record) std::vector<TransitionRec>().swap(transitions_);
+}
+
+std::optional<proto::AdaptationResult> Model::outcome() const {
+  if (outcome_ == nullptr) return std::nullopt;
+  return *outcome_;
+}
+
+void Model::step_manager(const proto::ManagerInput& input) {
+  proto::OutputPool::Lease lease;
+  manager_.step(input, lease.buffer());
+  apply_manager_outputs(lease.buffer());
+}
+
+void Model::step_agent(config::ProcessId process, const proto::AgentInput& input) {
+  proto::OutputPool::Lease lease;
+  agent_at(process).core.step(input, lease.buffer());
+  apply_agent_outputs(process, lease.buffer());
 }
 
 bool Model::deliverable(const InFlight& m) const {
@@ -198,19 +219,18 @@ bool Model::apply(const Choice& choice) {
       return true;
     };
     if (fire(mgr_protocol_)) {
-      apply_manager_outputs(manager_.step(proto::ManagerInput{
-          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::Protocol}}));
+      step_manager(proto::ManagerInput{
+          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::Protocol}});
       return true;
     }
     if (fire(mgr_stage_)) {
-      apply_manager_outputs(manager_.step(proto::ManagerInput{
-          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::StageDelay}}));
+      step_manager(proto::ManagerInput{
+          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::StageDelay}});
       return true;
     }
     for (auto& [process, entity] : agents_) {
       if (fire(entity.timer)) {
-        apply_agent_outputs(process, entity.core.step(proto::AgentInput{
-                                         now_, proto::AgentInput::TimerFired{}}));
+        step_agent(process, proto::AgentInput{now_, proto::AgentInput::TimerFired{}});
         return true;
       }
     }
@@ -250,12 +270,11 @@ bool Model::apply(const Choice& choice) {
 void Model::deliver(const InFlight& m) {
   if (m.to_manager) {
     note_manager_delivery(m.agent, m.message);
-    apply_manager_outputs(manager_.step(
-        proto::ManagerInput{now_, proto::ManagerInput::MessageDelivered{m.agent, m.message}}));
+    step_manager(
+        proto::ManagerInput{now_, proto::ManagerInput::MessageDelivered{m.agent, m.message}});
   } else {
-    apply_agent_outputs(m.agent,
-                        agent_at(m.agent).core.step(proto::AgentInput{
-                            now_, proto::AgentInput::MessageDelivered{m.message}}));
+    step_agent(m.agent,
+               proto::AgentInput{now_, proto::AgentInput::MessageDelivered{m.message}});
   }
 }
 
@@ -358,7 +377,7 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         }
         break;
       case proto::OutputKind::Outcome:
-        outcome_ = out.result;
+        outcome_ = std::make_shared<const proto::AdaptationResult>(out.result);
         if (out.result.outcome == proto::AdaptationOutcome::Success &&
             !(out.result.final_config == scenario_->target)) {
           violation("success outcome but final configuration " +
@@ -370,11 +389,6 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         break;  // spans, notes, and metrics hints carry no model state
     }
   }
-}
-
-void Model::dispatch_agent_local(config::ProcessId process, proto::AgentLocalEvent event) {
-  apply_agent_outputs(process,
-                      agent_at(process).core.step(proto::AgentInput{now_, event}));
 }
 
 void Model::apply_agent_outputs(config::ProcessId process,
@@ -403,11 +417,11 @@ void Model::apply_agent_outputs(config::ProcessId process,
         }
         break;
       case proto::OutputKind::ProcessPrepare:
-        dispatch_agent_local(process, proto::AgentLocalEvent::PrepareSucceeded);
+        step_agent(process, proto::AgentInput{now_, proto::AgentLocalEvent::PrepareSucceeded});
         break;
       case proto::OutputKind::ProcessReachSafe:
         entity.blocked = true;
-        dispatch_agent_local(process, proto::AgentLocalEvent::SafeStateReached);
+        step_agent(process, proto::AgentInput{now_, proto::AgentLocalEvent::SafeStateReached});
         break;
       case proto::OutputKind::ProcessAbortSafe:
         entity.blocked = false;
@@ -417,7 +431,7 @@ void Model::apply_agent_outputs(config::ProcessId process,
           violation("in-action for step " + out.ref.describe() + " executed on process " +
                     std::to_string(process) + " outside its safe state");
         }
-        dispatch_agent_local(process, proto::AgentLocalEvent::ApplySucceeded);
+        step_agent(process, proto::AgentInput{now_, proto::AgentLocalEvent::ApplySucceeded});
         break;
       case proto::OutputKind::ProcessUndo:
         if (!entity.blocked) {
@@ -475,7 +489,7 @@ std::uint64_t Model::fingerprint() const {
   }
   mix(h, static_cast<std::uint64_t>(drops_left_));
   mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_.has_value());
+  mix(h, outcome_ != nullptr);
   // P2/P3 bookkeeping is intentionally not mixed in: for the current step it
   // is a function of the manager core's own per-step state (involved set,
   // acks, resume flag), and completed steps can never influence future sends.
@@ -518,7 +532,7 @@ std::uint64_t Model::canonical_fingerprint() const {
   for (const std::uint64_t sub : subs) mix(h, sub);
   mix(h, static_cast<std::uint64_t>(drops_left_));
   mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_.has_value());
+  mix(h, outcome_ != nullptr);
   return h;
 }
 

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -154,15 +155,19 @@ class Model {
   void finalize();
 
   const std::vector<Violation>& violations() const { return violations_; }
-  const std::optional<proto::AdaptationResult>& outcome() const { return outcome_; }
+  /// The terminal outcome, once the manager emitted one (a copy; the model
+  /// keeps it behind a shared pointer so that forks do not copy its detail).
+  std::optional<proto::AdaptationResult> outcome() const;
   const std::vector<TransitionRec>& transitions() const { return transitions_; }
   runtime::Time now() const { return now_; }
   std::size_t messages_in_flight() const { return in_flight_.size(); }
 
   /// Transition records exist for replay/conformance comparisons; the
   /// explorer turns them off, because copying a growing vector of strings at
-  /// every fork dominated fork cost. Default on.
-  void set_record_transitions(bool record) { record_transitions_ = record; }
+  /// every fork dominated fork cost. Turning recording off also drops the
+  /// records kept so far (start() records the request's first transitions),
+  /// so a fork copies none. Default on.
+  void set_record_transitions(bool record);
 
   /// Hash of all protocol-relevant state: both cores, process blocked flags,
   /// channel contents, armed timers, and remaining adversary budgets.
@@ -222,9 +227,13 @@ class Model {
   const AgentEntity& agent_at(config::ProcessId process) const;
   bool deliverable(const InFlight& m) const;
   void deliver(const InFlight& m);
+  /// Steps the manager / an agent core and executes its outputs. Output
+  /// buffers are leased from proto::OutputPool, one per nesting depth (an
+  /// agent's Process* outputs step the same agent again), so a fork owns none.
+  void step_manager(const proto::ManagerInput& input);
+  void step_agent(config::ProcessId process, const proto::AgentInput& input);
   void apply_manager_outputs(const std::vector<proto::Output>& outputs);
   void apply_agent_outputs(config::ProcessId process, const std::vector<proto::Output>& outputs);
-  void dispatch_agent_local(config::ProcessId process, proto::AgentLocalEvent event);
   void check_manager_send(config::ProcessId to, const runtime::MessagePtr& message);
   void note_manager_delivery(config::ProcessId from, const runtime::MessagePtr& message);
   void violation(std::string description);
@@ -235,10 +244,10 @@ class Model {
   proto::ManagerCore manager_;
   TimerSlot mgr_protocol_;
   TimerSlot mgr_stage_;
-  /// Sorted by process id. Flat (not a std::map) because the explorer copies
-  /// the whole model at every fork; lookups are linear over a handful of
-  /// agents.
-  std::vector<std::pair<config::ProcessId, AgentEntity>> agents_;
+  /// Sorted by process id. Flat with inline storage (not a std::map) because
+  /// the explorer copies the whole model at every fork; lookups are linear
+  /// over a handful of agents.
+  util::SmallVector<std::pair<config::ProcessId, AgentEntity>, 4> agents_;
 
   util::SmallVector<InFlight, 8> in_flight_;  ///< ascending seq (push order)
   runtime::Time now_ = 0;
@@ -263,7 +272,7 @@ class Model {
   util::SmallVector<StepBook, 4> books_;
 
   std::vector<Violation> violations_;
-  std::optional<proto::AdaptationResult> outcome_;
+  std::shared_ptr<const proto::AdaptationResult> outcome_;  ///< immutable once set
   std::vector<TransitionRec> transitions_;
 };
 

@@ -86,10 +86,9 @@ class AdaptationAgent {
 
  private:
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
-  /// Feeds one input to the core and executes its outputs. Call under mutex_.
-  void dispatch(AgentInput::MessageDelivered delivered);
-  void dispatch(AgentInput::TimerFired fired);
-  void dispatch(AgentLocalEvent event);
+  /// Steps the core into a leased OutputPool buffer and executes the outputs.
+  /// Call under mutex_.
+  void dispatch(AgentInput::Event event);
   void apply(const std::vector<Output>& outputs);
   void apply_arm_timer(const Output& out);
   void apply_disarm_timer(const Output& out);

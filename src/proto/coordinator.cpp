@@ -122,7 +122,9 @@ void AdaptationCoordinator::on_message(runtime::NodeId from, runtime::MessagePtr
 }
 
 void AdaptationCoordinator::dispatch(CoordinatorInput input) {
-  apply(core_.step(input));
+  OutputPool::Lease lease;
+  core_.step(input, lease.buffer());
+  apply(lease.buffer());
 }
 
 void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {

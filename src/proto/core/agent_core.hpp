@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -39,7 +40,7 @@ struct AgentStats {
 
 class AgentCore {
  public:
-  explicit AgentCore(AgentConfig config = {}) : config_(config) {}
+  explicit AgentCore(AgentConfig config = {});
 
   AgentState state() const { return state_; }
   const AgentStats& stats() const { return stats_; }
@@ -61,9 +62,13 @@ class AgentCore {
     stats_.total_blocked = total_blocked;
   }
 
-  /// Consumes one input and returns the ordered side effects it caused.
-  /// Every Send is addressed to the manager; every Process* operation to the
-  /// agent's own AdaptableProcess.
+  /// Consumes one input: clears `out`, then appends the ordered side effects
+  /// the input caused (see the output-buffer contract in io.hpp). Every Send
+  /// is addressed to the manager; every Process* operation to the agent's
+  /// own AdaptableProcess.
+  void step(const AgentInput& input, std::vector<Output>& out);
+
+  /// step() into a fresh vector, returned by value.
   std::vector<Output> step(const AgentInput& input);
 
   /// Mixes all protocol-relevant state (not timestamps) into `h`.
@@ -76,7 +81,7 @@ class AgentCore {
   enum class SafeWait : std::uint8_t { None, Reset, Compensate };
 
   void on_message(const runtime::MessagePtr& message);
-  void on_reset(const ResetMsg& msg);
+  void on_reset(const runtime::MessagePtr& message, const ResetMsg& msg);
   void on_resume(const ResumeMsg& msg);
   void on_rollback(const RollbackMsg& msg);
   void on_timer_fired();
@@ -96,7 +101,9 @@ class AgentCore {
 
   AgentState state_ = AgentState::Running;
   std::optional<StepRef> current_step_;
-  LocalCommand current_command_;
+  /// The current step's command, sharing ownership of the ResetMsg it came
+  /// in (a fork copies a reference count, not the component names).
+  std::shared_ptr<const LocalCommand> current_command_;
   bool sole_participant_ = false;
   bool prepared_ = false;
   bool drain_ = false;  ///< drain flag of the step being reset
@@ -115,8 +122,8 @@ class AgentCore {
 
   AgentStats stats_;
 
-  runtime::Time now_ = 0;    ///< timestamp of the input being processed
-  std::vector<Output> out_;  ///< effects of the input being processed
+  runtime::Time now_ = 0;               ///< timestamp of the input being processed
+  std::vector<Output>* out_ = nullptr;  ///< caller's buffer, set during step()
 };
 
 }  // namespace sa::proto

@@ -78,6 +78,12 @@ void CoordinatorCore::open_epoch(std::vector<Output>& out) {
 
 std::vector<Output> CoordinatorCore::step(const CoordinatorInput& input) {
   std::vector<Output> out;
+  step(input, out);
+  return out;
+}
+
+void CoordinatorCore::step(const CoordinatorInput& input, std::vector<Output>& out) {
+  out.clear();
   if (const auto* submit = std::get_if<CoordinatorInput::SubmitRequest>(&input.event)) {
     on_submit(*submit, input.now, out);
   } else if (const auto* done = std::get_if<CoordinatorInput::ChildDone>(&input.event)) {
@@ -92,7 +98,6 @@ std::vector<Output> CoordinatorCore::step(const CoordinatorInput& input) {
       on_commit_timeout(input.now, out);
     }
   }
-  return out;
 }
 
 void CoordinatorCore::on_submit(const CoordinatorInput::SubmitRequest& submit,

@@ -2,7 +2,7 @@
 //
 // ManagerCore and AgentCore are pure state machines: they consume Inputs
 // (message deliveries, timer fires, adaptation commands, local completions)
-// and return ordered Output lists describing every side effect the protocol
+// and produce ordered Output lists describing every side effect the protocol
 // wants — sends, timer arms/disarms, automaton transitions, process
 // operations, commits, and terminal outcomes. The runtime drivers translate
 // Outputs into runtime::Transport sends, runtime::Clock timers, process
@@ -12,9 +12,20 @@
 // layer: time enters as plain data on each Input, so the cores are copyable
 // values that behave identically under the simulator, the threaded backend,
 // and the model checker.
+//
+// Output-buffer contract: each core's step(input, out) clears `out` and then
+// appends the input's outputs to it, so a caller that keeps one buffer pays
+// for Output storage once rather than per step. The core holds no reference
+// to `out` after step returns. step(input) is the same step returning an
+// owned vector. A buffer must not be passed to a step while a loop is still
+// reading it; a caller that re-enters a core from inside that loop leases a
+// buffer per nesting depth from OutputPool.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -67,8 +78,10 @@ struct ManagerInput {
     ManagerTimer timer = ManagerTimer::Protocol;
   };
 
+  using Event = std::variant<AdaptCommand, MessageDelivered, TimerFired>;
+
   runtime::Time now = 0;
-  std::variant<AdaptCommand, MessageDelivered, TimerFired> event;
+  Event event;
 };
 
 struct AgentInput {
@@ -77,8 +90,10 @@ struct AgentInput {
   };
   struct TimerFired {};  ///< the single pending slot
 
+  using Event = std::variant<MessageDelivered, TimerFired, AgentLocalEvent>;
+
   runtime::Time now = 0;
-  std::variant<MessageDelivered, TimerFired, AgentLocalEvent> event;
+  Event event;
 };
 
 struct CoordinatorInput {
@@ -169,7 +184,9 @@ struct Output {
   bool has_value = false;
   double extra = 0;               ///< secondary number (e.g. plan length)
   config::Configuration config;   ///< StepCommitted: the new configuration
-  LocalCommand command;           ///< Process* operand
+  /// Process* operand: the agent's current reset command, shared with the
+  /// ResetMsg it arrived in (never null on a Process* output).
+  std::shared_ptr<const LocalCommand> command;
   bool flag = false;              ///< drain (ProcessReachSafe), stalled (Commit)
   ManagerPhase phase_from = ManagerPhase::Running;  ///< Transition (manager)
   ManagerPhase phase_to = ManagerPhase::Running;
@@ -190,6 +207,49 @@ struct Output {
   // --- causal tracing ---------------------------------------------------------
   std::uint64_t span = 0;         ///< span this output belongs to
   std::uint64_t parent_span = 0;  ///< span that caused it (FlowLink / requests)
+};
+
+/// Step output buffers, one per nesting depth, one pool per thread. Callers
+/// re-enter a core from inside the loop executing its outputs: an agent
+/// driver's ProcessPrepare output runs prepare() and steps the core again
+/// with PrepareSucceeded before the outer loop reaches the next output, and a
+/// manager's completion handler may submit the next request. A Lease takes
+/// the buffer of the next depth on the calling thread, so an inner step never
+/// clears a vector an outer loop is still walking, and each buffer keeps its
+/// capacity from one step to the next. Leases live on the stack, so they nest
+/// strictly on each thread, and every driver and model stepping on a thread
+/// can share its pool — buffer memory grows with threads, not with cores.
+class OutputPool {
+ public:
+  /// The buffer of one nesting depth, held for the lifetime of the lease.
+  class Lease {
+   public:
+    Lease() : pool_(&this_thread()) {
+      if (pool_->depth_ == pool_->levels_.size()) pool_->levels_.emplace_back();
+      buffer_ = &pool_->levels_[pool_->depth_++];
+    }
+    ~Lease() {
+      buffer_->clear();  // outputs do not outlive the loop that executed them
+      --pool_->depth_;
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    std::vector<Output>& buffer() { return *buffer_; }
+
+   private:
+    OutputPool* pool_;
+    std::vector<Output>* buffer_;
+  };
+
+ private:
+  static OutputPool& this_thread() {
+    thread_local OutputPool pool;
+    return pool;
+  }
+
+  std::deque<std::vector<Output>> levels_;  ///< deque: growth never moves a level
+  std::size_t depth_ = 0;
 };
 
 }  // namespace sa::proto

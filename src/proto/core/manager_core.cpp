@@ -1,6 +1,7 @@
 #include "proto/core/manager_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <stdexcept>
 
@@ -14,6 +15,15 @@ inline void mix(std::uint64_t& h, std::uint64_t v) {
 
 inline void mix_str(std::uint64_t& h, const char* s) {
   for (; *s != '\0'; ++s) mix(h, static_cast<std::uint64_t>(*s));
+}
+
+/// Calls `fn(id)` for each component of `config`, ascending — the order of
+/// Configuration::components(), without building the vector.
+template <typename Fn>
+void for_each_component(const config::Configuration& config, Fn fn) {
+  for (std::uint64_t bits = config.bits(); bits != 0; bits &= bits - 1) {
+    fn(static_cast<config::ComponentId>(std::countr_zero(bits)));
+  }
 }
 
 }  // namespace
@@ -30,7 +40,7 @@ void ManagerCore::register_agent(config::ProcessId process, int stage) {
   if (it != stages_.end() && it->first == process) {
     it->second = stage;
   } else {
-    stages_.insert(it, {process, stage});
+    stages_.insert(it, std::pair<config::ProcessId, int>{process, stage});
   }
 }
 
@@ -49,7 +59,7 @@ bool ManagerCore::has_agent(config::ProcessId process) const {
 }
 
 Output& ManagerCore::emit(OutputKind kind) {
-  Output& out = out_.emplace_back();
+  Output& out = out_->emplace_back();
   out.kind = kind;
   out.ref = current_ref();
   out.request_id = request_id_;
@@ -57,10 +67,15 @@ Output& ManagerCore::emit(OutputKind kind) {
 }
 
 std::vector<Output> ManagerCore::step(const ManagerInput& input) {
-  out_.clear();
-  // out_ leaves by move every step, so it re-starts with zero capacity; one
-  // up-front block avoids a realloc cascade of ~300-byte Outputs per input.
-  out_.reserve(8);
+  std::vector<Output> out;
+  out.reserve(8);  // one block instead of a realloc cascade of ~440-byte Outputs
+  step(input, out);
+  return out;
+}
+
+void ManagerCore::step(const ManagerInput& input, std::vector<Output>& out) {
+  out.clear();
+  out_ = &out;
   now_ = input.now;
   if (const auto* cmd = std::get_if<ManagerInput::AdaptCommand>(&input.event)) {
     if (busy()) throw std::logic_error("adaptation request while another is in flight");
@@ -70,17 +85,17 @@ std::vector<Output> ManagerCore::step(const ManagerInput& input) {
     handle_message(msg->from, msg->message);
   } else if (const auto* fired = std::get_if<ManagerInput::TimerFired>(&input.event)) {
     if (fired->timer == ManagerTimer::Protocol) {
-      if (!protocol_timer_armed_) return std::move(out_);  // stale fire
-      protocol_timer_armed_ = false;
-      on_timeout(ManagerTimer::Protocol);
-    } else {
-      if (!stage_delay_armed_) return std::move(out_);
+      if (protocol_timer_armed_) {  // else a stale fire
+        protocol_timer_armed_ = false;
+        on_timeout(ManagerTimer::Protocol);
+      }
+    } else if (stage_delay_armed_) {
       stage_delay_armed_ = false;
       send_stage_resets(stage_delay_stage_);
       arm_timer(config_.reset_timeout, "reset-timeout");
     }
   }
-  return std::move(out_);
+  out_ = nullptr;
 }
 
 void ManagerCore::set_phase(ManagerPhase next) {
@@ -123,15 +138,24 @@ void ManagerCore::disarm_timer() {
 }
 
 LocalCommand ManagerCore::command_for(config::ProcessId process) const {
-  const actions::AdaptiveAction& action = table_->action(plan_.steps[step_index_].action);
+  const actions::AdaptiveAction& action = table_->action(plan_->steps[step_index_].action);
   const auto& registry = table_->registry();
+  // Sized exactly before filling: the command travels in the ResetMsg, and a
+  // growing vector would reallocate on its second name.
+  auto names_on = [&](const config::Configuration& components,
+                      std::vector<std::string>& names) {
+    std::size_t count = 0;
+    for_each_component(components, [&](config::ComponentId id) {
+      count += registry.process(id) == process ? 1 : 0;
+    });
+    names.reserve(count);
+    for_each_component(components, [&](config::ComponentId id) {
+      if (registry.process(id) == process) names.push_back(registry.name(id));
+    });
+  };
   LocalCommand command;
-  for (const config::ComponentId id : action.removes.components(registry.size())) {
-    if (registry.process(id) == process) command.remove.push_back(registry.name(id));
-  }
-  for (const config::ComponentId id : action.adds.components(registry.size())) {
-    if (registry.process(id) == process) command.add.push_back(registry.name(id));
-  }
+  names_on(action.removes, command.remove);
+  names_on(action.adds, command.add);
   return command;
 }
 
@@ -167,25 +191,31 @@ void ManagerCore::handle_request(const config::Configuration& target) {
 }
 
 void ManagerCore::start_plan(actions::AdaptationPlan plan) {
-  plan_ = std::move(plan);
+  plan_ = std::make_shared<const actions::AdaptationPlan>(std::move(plan));
   plan_number_ = plan_counter_++;
   step_index_ = 0;
   step_attempt_ = 0;
   Output& out = emit(OutputKind::PlanComputed);
   out.name = "map";
-  out.detail = plan_.action_names(*table_);
-  out.value = plan_.total_cost;
+  out.detail = plan_->action_names(*table_);
+  out.value = plan_->total_cost;
   out.has_value = true;
-  out.extra = static_cast<double>(plan_.steps.size());
+  out.extra = static_cast<double>(plan_->steps.size());
   execute_current_step();
 }
 
 void ManagerCore::execute_current_step() {
-  const actions::PlanStep& plan_step = plan_.steps[step_index_];
+  const actions::PlanStep& plan_step = plan_->steps[step_index_];
   const actions::AdaptiveAction& action = table_->action(plan_step.action);
   const auto& registry = table_->registry();
 
-  involved_ = action.affected_processes(registry, registry.size());
+  // AdaptiveAction::affected_processes(), built in place: sorted, distinct.
+  involved_.clear();
+  for_each_component(action.removes.unite(action.adds), [&](config::ComponentId id) {
+    const config::ProcessId process = registry.process(id);
+    const auto it = std::lower_bound(involved_.begin(), involved_.end(), process);
+    if (it == involved_.end() || *it != process) involved_.insert(it, process);
+  });
   for (const config::ProcessId process : involved_) {
     if (!has_agent(process)) {
       throw std::logic_error("no agent registered for process " + std::to_string(process));
@@ -351,12 +381,12 @@ void ManagerCore::on_resume_done(config::ProcessId process, const ResumeDoneMsg&
 void ManagerCore::commit_step() {
   disarm_timer();
   set_phase(ManagerPhase::Resumed);
-  current_ = plan_.steps[step_index_].to;
+  current_ = plan_->steps[step_index_].to;
   ++result_.steps_committed;
   Output& out = emit(OutputKind::StepCommitted);
-  out.name = table_->action(plan_.steps[step_index_].action).name;
+  out.name = table_->action(plan_->steps[step_index_].action).name;
   out.config = current_;
-  if (step_index_ + 1 < plan_.steps.size()) {
+  if (step_index_ + 1 < plan_->steps.size()) {
     ++step_index_;
     step_attempt_ = 0;
     execute_current_step();
@@ -396,20 +426,22 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
         Output& note = emit(OutputKind::Retransmission);
         note.label = "adapting";
         // Retransmit resets to every triggered stage with an agent that has
-        // not yet finished its in-action; agents re-acknowledge idempotently.
-        // Stages of involved processes are the registration stages, small
-        // non-negative ints in practice — collect ascending and dedup flat.
-        std::vector<int> stages_to_resend;
-        for (const config::ProcessId process : involved_) {
-          const int stage = stage_of(process);
-          if (stage <= current_stage_ && !adapt_acked_.contains(process)) {
-            stages_to_resend.push_back(stage);
+        // not yet finished its in-action, in ascending stage order; agents
+        // re-acknowledge idempotently. Sending changes neither the acks nor
+        // the current stage, so each pass picks the next stage above the last
+        // one sent — a handful of processes, no scratch list.
+        for (int last = INT_MIN;;) {
+          int next = INT_MAX;
+          for (const config::ProcessId process : involved_) {
+            const int stage = stage_of(process);
+            if (stage > last && stage <= current_stage_ && !adapt_acked_.contains(process)) {
+              next = std::min(next, stage);
+            }
           }
+          if (next == INT_MAX) break;
+          send_stage_resets(next);
+          last = next;
         }
-        std::sort(stages_to_resend.begin(), stages_to_resend.end());
-        stages_to_resend.erase(std::unique(stages_to_resend.begin(), stages_to_resend.end()),
-                               stages_to_resend.end());
-        for (const int stage : stages_to_resend) send_stage_resets(stage);
         maybe_advance_stage();
         arm_timer(config_.reset_timeout, "reset-timeout");
         return;
@@ -431,10 +463,10 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
       // if acknowledgements never arrive the structure is adapted everywhere
       // (all adapt done collected) so the step is committed, but the operator
       // is told the protocol stalled.
-      current_ = plan_.steps[step_index_].to;
+      current_ = plan_->steps[step_index_].to;
       ++result_.steps_committed;
       Output& out = emit(OutputKind::StepCommitted);
-      out.name = table_->action(plan_.steps[step_index_].action).name;
+      out.name = table_->action(plan_->steps[step_index_].action).name;
       out.config = current_;
       out.flag = true;  // stalled
       finish(AdaptationOutcome::StalledAfterResume,
@@ -481,7 +513,7 @@ void ManagerCore::step_failed_after_rollback() {
   disarm_timer();
   ++result_.step_failures;
   Output& out = emit(OutputKind::StepRolledBack);
-  out.name = table_->action(plan_.steps[step_index_].action).name;
+  out.name = table_->action(plan_->steps[step_index_].action).name;
   try_next_strategy();
 }
 
@@ -528,13 +560,15 @@ void ManagerCore::finish(AdaptationOutcome outcome, std::string detail) {
   result_.outcome = outcome;
   result_.final_config = current_;
   result_.finished = now_;
-  result_.detail = std::move(detail);
   Output& out = emit(OutputKind::Outcome);
   out.name = std::string(to_string(outcome));
   out.parent_span = cause_span_;
-  out.detail = result_.detail;
+  out.detail = detail;
   out.config = result_.final_config;
   out.result = result_;
+  // Only the Outcome carries the detail: result_ is copied at every explorer
+  // fork, and a finished request never reads it again.
+  out.result.detail = std::move(detail);
 }
 
 void ManagerCore::fingerprint(std::uint64_t& h) const {
@@ -549,9 +583,11 @@ void ManagerCore::fingerprint(std::uint64_t& h) const {
   mix(h, plan_counter_);
   mix(h, step_index_);
   mix(h, step_attempt_);
-  for (const actions::PlanStep& s : plan_.steps) {
-    mix(h, s.action);
-    mix(h, s.to.bits());
+  if (plan_) {
+    for (const actions::PlanStep& s : plan_->steps) {
+      mix(h, s.action);
+      mix(h, s.to.bits());
+    }
   }
   for (const config::ProcessId p : involved_) mix(h, p);
   mix(h, drain_set_.mask());
@@ -582,9 +618,11 @@ void ManagerCore::fingerprint_shared(std::uint64_t& h) const {
   mix(h, plan_counter_);
   mix(h, step_index_);
   mix(h, step_attempt_);
-  for (const actions::PlanStep& s : plan_.steps) {
-    mix(h, s.action);
-    mix(h, s.to.bits());
+  if (plan_) {
+    for (const actions::PlanStep& s : plan_->steps) {
+      mix(h, s.action);
+      mix(h, s.to.bits());
+    }
   }
   // Per-process membership (involved/drain/acked sets) is deliberately left
   // out — it is folded into each agent's orbit sub-fingerprint via

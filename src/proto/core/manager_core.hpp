@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "proto/core/states.hpp"
 #include "proto/messages.hpp"
 #include "util/bitset64.hpp"
+#include "util/small_vector.hpp"
 
 namespace sa::proto {
 
@@ -76,13 +78,21 @@ class ManagerCore {
   }
   std::uint64_t request_id() const { return request_id_; }
 
-  /// Consumes one input and returns the ordered side effects it caused.
-  /// Calling step(AdaptCommand) while busy() is a logic error (the driver
-  /// guards and throws; the explorer never does it).
+  /// Consumes one input: clears `out`, then appends the ordered side effects
+  /// the input caused (see the output-buffer contract in io.hpp). Calling
+  /// step(AdaptCommand) while busy() is a logic error (the driver guards and
+  /// throws; the explorer never does it).
+  void step(const ManagerInput& input, std::vector<Output>& out);
+
+  /// step() into a fresh vector, returned by value.
   std::vector<Output> step(const ManagerInput& input);
 
+  /// Processes of the current step, ascending. Inline storage: the explorer
+  /// copies the core at every fork.
+  using ProcessList = util::SmallVector<config::ProcessId, 4>;
+
   // --- introspection for the explorer and tests -----------------------------
-  const std::vector<config::ProcessId>& involved() const { return involved_; }
+  const ProcessList& involved() const { return involved_; }
   const util::IdSet64& adapt_acked() const { return adapt_acked_; }
   const util::IdSet64& resume_acked() const { return resume_acked_; }
   bool resume_sent() const { return resume_sent_; }
@@ -147,11 +157,11 @@ class ManagerCore {
   ManagerConfig config_;
   ManagerFault fault_ = ManagerFault::None;
 
-  /// Agent topology, sorted by process id. Flat (not a std::map) because the
-  /// explorer copies the core at every fork: copying this is one allocation
-  /// and a memcpy instead of a node allocation per agent. Lookups are linear
-  /// — the involved set of a step is a handful of processes.
-  std::vector<std::pair<config::ProcessId, int>> stages_;
+  /// Agent topology, sorted by process id. Flat with inline storage (not a
+  /// std::map) because the explorer copies the core at every fork: copying a
+  /// few agents is a memcpy, with no allocation. Lookups are linear — the
+  /// involved set of a step is a handful of processes.
+  util::SmallVector<std::pair<config::ProcessId, int>, 4> stages_;
   config::Configuration current_;
 
   // --- in-flight request state ---
@@ -161,11 +171,12 @@ class ManagerCore {
   std::uint64_t cause_span_ = 0;  ///< tracing only; echoed on request outputs
   config::Configuration source_;
   config::Configuration target_;
-  AdaptationResult result_;
+  AdaptationResult result_;  ///< `detail` stays empty; finish() sets it on the Outcome
   bool returning_to_source_ = false;
   std::size_t alternatives_tried_ = 0;
 
-  actions::AdaptationPlan plan_;
+  /// The path being executed. Immutable once computed, so forks share it.
+  std::shared_ptr<const actions::AdaptationPlan> plan_;
   std::uint32_t plan_number_ = 0;   ///< disambiguates re-planned paths
   std::uint32_t plan_counter_ = 0;  ///< next plan number within the request
   std::size_t step_index_ = 0;
@@ -173,7 +184,7 @@ class ManagerCore {
 
   // per-step bookkeeping (bitmask sets: copied by value at every explorer
   // fork, so a std::set node allocation per member would dominate fork cost)
-  std::vector<config::ProcessId> involved_;
+  ProcessList involved_;
   util::IdSet64 drain_set_;  ///< involved processes that drain before blocking
   int min_stage_ = 0;
   int current_stage_ = 0;
@@ -191,7 +202,7 @@ class ManagerCore {
   int stage_delay_stage_ = 0;  ///< stage whose resets go out when it fires
 
   runtime::Time now_ = 0;            ///< timestamp of the input being processed
-  std::vector<Output> out_;          ///< effects of the input being processed
+  std::vector<Output>* out_ = nullptr;  ///< caller's buffer, set during step()
 };
 
 }  // namespace sa::proto

@@ -123,16 +123,10 @@ void AdaptationManager::on_message(runtime::NodeId from, runtime::MessagePtr mes
   dispatch(ManagerInput::MessageDelivered{*process, std::move(message)});
 }
 
-void AdaptationManager::dispatch(ManagerInput::AdaptCommand cmd) {
-  apply(core_.step(ManagerInput{clock_->now(), std::move(cmd)}));
-}
-
-void AdaptationManager::dispatch(ManagerInput::MessageDelivered delivered) {
-  apply(core_.step(ManagerInput{clock_->now(), std::move(delivered)}));
-}
-
-void AdaptationManager::dispatch(ManagerInput::TimerFired fired) {
-  apply(core_.step(ManagerInput{clock_->now(), fired}));
+void AdaptationManager::dispatch(ManagerInput::Event event) {
+  OutputPool::Lease lease;
+  core_.step(ManagerInput{clock_->now(), std::move(event)}, lease.buffer());
+  apply(lease.buffer());
 }
 
 void AdaptationManager::apply(const std::vector<Output>& outputs) {

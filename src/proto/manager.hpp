@@ -137,10 +137,9 @@ class AdaptationManager {
   };
 
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
-  /// Feeds one input to the core and executes its outputs. Call under mutex_.
-  void dispatch(ManagerInput::AdaptCommand cmd);
-  void dispatch(ManagerInput::MessageDelivered delivered);
-  void dispatch(ManagerInput::TimerFired fired);
+  /// Steps the core into a leased OutputPool buffer and executes the outputs.
+  /// Call under mutex_.
+  void dispatch(ManagerInput::Event event);
   void apply(const std::vector<Output>& outputs);
   void apply_arm_timer(const Output& out);
   void apply_disarm_timer(const Output& out);

@@ -1,15 +1,16 @@
 // SmallVector<T, N>: a vector with N elements of inline storage.
 //
 // The interleaving explorer forks its Model at every branch point; the
-// model's hot containers (in-flight channel messages, per-step property
-// bookkeeping) almost always hold a handful of elements, so a std::vector
-// pays a heap allocation per fork for a few dozen bytes of payload. This
+// model's hot containers (agents, in-flight channel messages, per-step
+// property bookkeeping, the manager core's stage and involved sets) almost
+// always hold a handful of elements, so a std::vector pays a heap allocation
+// per fork for a few dozen bytes of payload. This
 // container keeps up to N elements in the object itself and only spills to
 // the heap beyond that.
 //
 // Deliberately minimal: the subset of the std::vector interface the model
-// needs (push_back/emplace_back, erase, clear, iteration, indexing, copy and
-// move). Not exception-safe against throwing element copies mid-operation
+// needs (push_back/emplace_back, insert, erase, clear, iteration, indexing,
+// copy and move). Not exception-safe against throwing element copies mid-operation
 // beyond the basic guarantee, which is fine for the value types it holds.
 #pragma once
 
@@ -64,6 +65,7 @@ class SmallVector {
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   T& front() { return data_[0]; }
+  const T& front() const { return data_[0]; }
   T& back() { return data_[size_ - 1]; }
   const T& back() const { return data_[size_ - 1]; }
 
@@ -91,6 +93,13 @@ class SmallVector {
   void pop_back() {
     --size_;
     data_[size_].~T();
+  }
+
+  iterator insert(const_iterator pos, T value) {
+    const std::size_t index = static_cast<std::size_t>(pos - data_);
+    emplace_back(std::move(value));
+    std::rotate(data_ + index, data_ + size_ - 1, data_ + size_);
+    return data_ + index;
   }
 
   iterator erase(const_iterator pos) {

@@ -166,8 +166,7 @@ class FrontierEngine {
       : options_(&options),
         depth_limit_(options.max_depth > 0 ? options.max_depth
                                            : std::numeric_limits<int>::max()),
-        visited_(options.max_states,
-                 threads == 1 ? 1 : static_cast<std::size_t>(threads) * 2),
+        visited_(0, threads == 1 ? 1 : static_cast<std::size_t>(threads) * 2),
         queues_(static_cast<std::size_t>(threads)),
         stats_(static_cast<std::size_t>(threads)) {}
 

@@ -10,9 +10,10 @@
 //   * the pool is seeded by expanding a breadth-first prefix of the tree
 //     until there are a few frames per worker to spread across the deques;
 //   * visited-state deduplication goes through a sharded open-addressing
-//     fingerprint set (util/fingerprint_set.hpp) pre-reserved from
-//     max_states, so inserts are allocation-free and a lock covers only
-//     1/Nth of the space;
+//     fingerprint set (util/fingerprint_set.hpp), so a lock covers only
+//     1/Nth of the space. The set starts small and doubles as states arrive:
+//     max_states is a budget, not an estimate, and reserving it up front
+//     zeroed and probed megabytes that most searches never fill;
 //   * a frame is expanded by applying each enabled choice to a fork of its
 //     model; the last child steals the parent's model, so a node with k
 //     children costs k-1 copies, and a quiescent leaf is finalized in place

@@ -13,9 +13,11 @@ expr::Assignment make_assignment(const ComponentRegistry& registry, const Config
 }  // namespace
 
 void InvariantSet::add(std::string name, expr::ExprPtr predicate) {
+  const expr::VariableRefs variables = predicate->variable_refs();
   std::vector<ComponentId> ids;
-  for (const std::string& variable : predicate->variables()) {
-    ids.push_back(registry_->require(variable));  // throws on unknown names
+  ids.reserve(variables.size());
+  for (const std::string* variable : variables) {
+    ids.push_back(registry_->require(*variable));  // throws on unknown names
   }
   invariants_.push_back(Invariant{std::move(name), std::move(predicate)});
   variable_ids_.push_back(std::move(ids));

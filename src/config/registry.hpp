@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace sa::config {
@@ -30,23 +30,31 @@ class ComponentRegistry {
   /// Registers a component; throws std::invalid_argument on duplicate names
   /// or once the 64-component Configuration capacity is exhausted.
   ComponentId add(std::string name, ProcessId process, std::string description = "");
+  /// Sizes the registry for `count` components in all, so that adding them
+  /// allocates no more.
+  void reserve(std::size_t count);
 
   std::size_t size() const { return components_.size(); }
   const ComponentInfo& info(ComponentId id) const { return components_.at(id); }
   const std::string& name(ComponentId id) const { return info(id).name; }
   ProcessId process(ComponentId id) const { return info(id).process; }
 
-  std::optional<ComponentId> find(const std::string& name) const;
+  std::optional<ComponentId> find(std::string_view name) const;
 
   /// Like find() but throws std::out_of_range with the name in the message.
-  ComponentId require(const std::string& name) const;
+  ComponentId require(std::string_view name) const;
 
   /// All distinct process ids hosting at least one component, sorted.
   std::vector<ProcessId> processes() const;
 
  private:
+  /// Position of `name` in by_name_ (or where it would be inserted).
+  std::vector<ComponentId>::const_iterator name_slot(std::string_view name) const;
+
   std::vector<ComponentInfo> components_;
-  std::unordered_map<std::string, ComponentId> by_name_;
+  /// Ids in ascending name order: a registry holds at most 64 names, so a
+  /// binary search over one flat array replaces a node per name.
+  std::vector<ComponentId> by_name_;
 };
 
 }  // namespace sa::config

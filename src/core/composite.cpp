@@ -58,10 +58,10 @@ void CompositeAdaptationSystem::add_invariant(std::string name, std::string_view
   if (finalized()) throw std::logic_error("cannot add invariants after finalize()");
   expr::ExprPtr predicate = expr::parse(expression);
   // Validate component names eagerly, like InvariantSet::add does.
+  const expr::VariableRefs variables = predicate->variable_refs();
   std::vector<config::ComponentId> components;
-  for (const std::string& variable : predicate->variables()) {
-    components.push_back(registry_.require(variable));
-  }
+  components.reserve(variables.size());
+  for (const std::string* variable : variables) components.push_back(registry_.require(*variable));
   pending_invariants_.push_back(
       PendingInvariant{std::move(name), std::move(predicate), std::move(components)});
 }
@@ -74,6 +74,7 @@ void CompositeAdaptationSystem::add_action(std::string name, std::vector<std::st
     throw std::invalid_argument("action must add or remove at least one component");
   }
   std::vector<config::ComponentId> components;
+  components.reserve(removes.size() + adds.size());
   for (const std::string& component : removes) components.push_back(registry_.require(component));
   for (const std::string& component : adds) components.push_back(registry_.require(component));
   pending_actions_.push_back(PendingAction{std::move(name), std::move(removes), std::move(adds),
@@ -104,13 +105,14 @@ void CompositeAdaptationSystem::finalize() {
   // Shards in ascending order of their set's root id; node ids, and so every
   // trace and fleet digest, follow this order.
   std::vector<std::size_t> shard_of(n);
+  std::vector<std::size_t> set_size(n, 0);
+  for (config::ComponentId id = 0; id < n; ++id) ++set_size[sets.find(id)];
   for (config::ComponentId id = 0; id < n; ++id) {
     if (sets.find(id) != id) continue;
     shard_of[id] = shards_.size();
     auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<config::ComponentRegistry>();
-    shard->invariants = std::make_unique<config::InvariantSet>(*shard->registry);
-    shard->actions = std::make_unique<actions::ActionTable>(*shard->registry);
+    shard->members.reserve(set_size[id]);
+    shard->registry.reserve(set_size[id]);
     shards_.push_back(std::move(shard));
   }
   for (config::ComponentId id = 0; id < n; ++id) {
@@ -118,23 +120,25 @@ void CompositeAdaptationSystem::finalize() {
     Shard& shard = *shards_[shard_of[id]];
     shard.members.push_back(id);  // ascending by construction
     const auto& info = registry_.info(id);
-    shard.registry->add(info.name, info.process, info.description);
+    shard.registry.add(info.name, info.process, info.description);
   }
 
   // Each declaration goes to its set's shard (its components all share one
-  // set), so every shard sees its declarations in declaration order.
-  for (const PendingInvariant& invariant : pending_invariants_) {
+  // set), so every shard sees its declarations in declaration order. The
+  // staged declarations are not read again, so they move into the shards.
+  for (PendingInvariant& invariant : pending_invariants_) {
     if (invariant.components.empty()) {
       // Constant invariants constrain every shard.
-      for (const auto& shard : shards_) shard->invariants->add(invariant.name, invariant.predicate);
+      for (const auto& shard : shards_) shard->invariants.add(invariant.name, invariant.predicate);
     } else {
-      shards_[shard_of[invariant.components.front()]]->invariants->add(invariant.name,
-                                                                       invariant.predicate);
+      shards_[shard_of[invariant.components.front()]]->invariants.add(
+          std::move(invariant.name), std::move(invariant.predicate));
     }
   }
-  for (const PendingAction& action : pending_actions_) {
-    shards_[shard_of[action.components.front()]]->actions->add(
-        action.name, action.removes, action.adds, action.cost, action.description);
+  for (PendingAction& action : pending_actions_) {
+    shards_[shard_of[action.components.front()]]->actions.add(
+        std::move(action.name), std::move(action.removes), std::move(action.adds), action.cost,
+        std::move(action.description));
   }
 
   // Agents: one per attached process hosting a member of the shard, in
@@ -148,16 +152,21 @@ void CompositeAdaptationSystem::finalize() {
   }
   std::sort(hosts.begin(), hosts.end());
   hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
-  std::vector<std::vector<const PendingProcess*>> agents(shards_.size());
+  // (shard, attach index) pairs, sorted: each shard's agents in attach order.
+  std::vector<std::pair<std::size_t, std::size_t>> agents;
+  agents.reserve(hosts.size());
   UnionFind lanes(shards_.size());
-  for (const PendingProcess& pending : pending_processes_) {
+  for (std::size_t p = 0; p < pending_processes_.size(); ++p) {
+    const config::ProcessId process = pending_processes_[p].process;
     auto it = std::lower_bound(hosts.begin(), hosts.end(),
-                               std::pair<config::ProcessId, std::size_t>{pending.process, 0});
-    for (const auto first = it; it != hosts.end() && it->first == pending.process; ++it) {
-      agents[it->second].push_back(&pending);
+                               std::pair<config::ProcessId, std::size_t>{process, 0});
+    for (const auto first = it; it != hosts.end() && it->first == process; ++it) {
+      agents.emplace_back(it->second, p);
       lanes.unite(it->second, first->second);
     }
   }
+  std::sort(agents.begin(), agents.end());
+  auto next_agent = agents.begin();
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -165,14 +174,15 @@ void CompositeAdaptationSystem::finalize() {
         runtime_->transport().add_node("manager-s" + std::to_string(s));
     shard.manager_node = manager_node;
     shard.manager = std::make_unique<proto::AdaptationManager>(
-        *runtime_, manager_node, *shard.invariants, *shard.actions, config_.manager);
+        *runtime_, manager_node, shard.invariants, shard.actions, config_.manager);
     shard.manager->set_observability(&tracer_, &metrics_);
     tracer_.set_node_track(manager_node, obs::kManagerTrack);
     // All shard managers share the manager track; their events stay
     // distinguishable through per-request spans.
     tracer_.set_track_name(obs::kManagerTrack, "managers");
 
-    for (const PendingProcess* pending : agents[s]) {
+    for (; next_agent != agents.end() && next_agent->first == s; ++next_agent) {
+      const PendingProcess* pending = &pending_processes_[next_agent->second];
       const runtime::NodeId agent_node = runtime_->transport().add_node(
           "agent-s" + std::to_string(s) + "-p" + std::to_string(pending->process));
       runtime_->transport().connect_bidirectional(manager_node, agent_node,
@@ -368,8 +378,7 @@ std::uint64_t CompositeAdaptationSystem::submit_adaptation(config::Configuration
         for (const proto::ShardOutcome& outcome : ticket.outcomes) {
           result.orphaned += outcome.reported ? 0 : 1;
           result.success =
-              result.success && outcome.result.outcome == proto::AdaptationOutcome::Success;
-          result.shard_results.push_back(outcome.result);
+              result.success && outcome.result->outcome == proto::AdaptationOutcome::Success;
         }
         result.outcomes = ticket.outcomes;
         result.final_config = current_configuration();
@@ -395,7 +404,7 @@ CompositeResult CompositeAdaptationSystem::adapt_and_wait(config::Configuration 
       max_events);
   std::lock_guard lock(mutex);
   if (!result) throw std::runtime_error("composite adaptation did not terminate");
-  return *result;
+  return std::move(*result);
 }
 
 }  // namespace sa::core

@@ -75,10 +75,9 @@ struct CompositeConfig {
 
 struct CompositeResult {
   bool success = false;  ///< every involved shard reached its sub-target
-  std::vector<proto::AdaptationResult> shard_results;  ///< involved shards, ascending shard id
-  /// Same results with shard ids and orphan flags (outcomes[i].result is
-  /// shard_results[i]); `reported == false` marks a shard synthesized by a
-  /// commit timeout rather than reported by its subtree.
+  /// Involved shards, ascending shard id, each with its shared result;
+  /// `reported == false` marks a shard synthesized by a commit timeout rather
+  /// than reported by its subtree.
   std::vector<proto::ShardOutcome> outcomes;
   config::Configuration final_config;                  ///< stitched, global
   runtime::Time started = 0;
@@ -117,10 +116,10 @@ class CompositeAdaptationSystem {
   std::size_t lane_count() const { return lane_count_; }
   /// Shard `index`'s projected invariants and actions, in declaration order.
   const config::InvariantSet& shard_invariants(std::size_t index) const {
-    return *shards_.at(index)->invariants;
+    return shards_.at(index)->invariants;
   }
   const actions::ActionTable& shard_actions(std::size_t index) const {
-    return *shards_.at(index)->actions;
+    return shards_.at(index)->actions;
   }
   /// Processes with an agent in shard `index`, in attach order.
   const std::vector<config::ProcessId>& shard_processes(std::size_t index) const {
@@ -173,11 +172,13 @@ class CompositeAdaptationSystem {
   proto::AdaptationManager& shard_manager(std::size_t index);
 
  private:
+  /// Held by unique_ptr, so the tables below never move once the manager
+  /// holds references to them.
   struct Shard {
-    std::vector<config::ComponentId> members;            // global ids, ascending
-    std::unique_ptr<config::ComponentRegistry> registry; // local names = global names
-    std::unique_ptr<config::InvariantSet> invariants;
-    std::unique_ptr<actions::ActionTable> actions;
+    std::vector<config::ComponentId> members;  // global ids, ascending
+    config::ComponentRegistry registry;        // local names = global names
+    config::InvariantSet invariants{registry};
+    actions::ActionTable actions{registry};
     std::unique_ptr<proto::AdaptationManager> manager;
     runtime::NodeId manager_node = 0;
     std::vector<std::unique_ptr<proto::AdaptationAgent>> agents;

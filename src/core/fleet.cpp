@@ -45,8 +45,8 @@ struct RegionEndpoints {
 /// one process, one one(X,Y) invariant, and one swap action per cluster, so
 /// every cluster is its own collaborative set on its own lane.
 RegionEndpoints build_region(CompositeAdaptationSystem& system, std::size_t first,
-                             std::size_t count,
-                             std::vector<std::unique_ptr<FleetProcess>>& processes) {
+                             std::size_t count, std::vector<FleetProcess>& processes) {
+  system.registry().reserve(2 * count);
   for (std::size_t c = 0; c < count; ++c) {
     const std::string s = std::to_string(first + c);
     system.registry().add("X" + s, static_cast<config::ProcessId>(c));
@@ -57,9 +57,9 @@ RegionEndpoints build_region(CompositeAdaptationSystem& system, std::size_t firs
     system.add_invariant("one" + s, "one(X" + s + ", Y" + s + ")");
     system.add_action("swap" + s, {"X" + s}, {"Y" + s}, 10);
   }
+  processes = std::vector<FleetProcess>(count);  // sized once: attached by reference
   for (std::size_t c = 0; c < count; ++c) {
-    processes.push_back(std::make_unique<FleetProcess>());
-    system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
+    system.attach_process(static_cast<config::ProcessId>(c), processes[c], 0);
   }
   system.finalize();
 
@@ -98,7 +98,7 @@ RegionReport run_region(const FleetSpec& spec, std::size_t region, std::size_t f
                                                : obs::TraceDetail::Causal);
     system.tracer().set_enabled(true);
   }
-  std::vector<std::unique_ptr<FleetProcess>> processes;
+  std::vector<FleetProcess> processes;
   const RegionEndpoints endpoints = build_region(system, first, count, processes);
 
   report.shards = system.shard_count();
@@ -126,7 +126,7 @@ RegionReport run_region(const FleetSpec& spec, std::size_t region, std::size_t f
   digest = mix(digest, report.success ? 1 : 0);
   for (const proto::ShardOutcome& outcome : result.outcomes) {
     digest = mix(digest, (static_cast<std::uint64_t>(outcome.shard) << 8) ^
-                             (static_cast<std::uint64_t>(outcome.result.outcome) << 1) ^
+                             (static_cast<std::uint64_t>(outcome.result->outcome) << 1) ^
                              (outcome.reported ? 1 : 0));
   }
   report.digest = digest;
@@ -250,7 +250,7 @@ ThreadedCampaignReport run_threaded_campaign(const ThreadedCampaignSpec& spec) {
   runtime::ThreadedRuntime rt(options);
 
   std::vector<std::unique_ptr<CompositeAdaptationSystem>> systems;
-  std::vector<std::vector<std::unique_ptr<FleetProcess>>> processes(regions);
+  std::vector<std::vector<FleetProcess>> processes(regions);
   std::vector<RegionEndpoints> endpoints;
   FleetSpec shape;  // reuse the per-region tree shape defaults
   shape.seed = spec.seed;

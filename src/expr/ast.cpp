@@ -1,14 +1,28 @@
 #include "expr/ast.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace sa::expr {
 
+VariableRefs Expr::variable_refs() const {
+  VariableRefs refs;
+  collect_variables(refs);
+  std::sort(refs.begin(), refs.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  const auto same = [](const std::string* a, const std::string* b) { return *a == *b; };
+  const auto last = std::unique(refs.begin(), refs.end(), same);
+  while (refs.end() != last) refs.pop_back();
+  return refs;
+}
+
 std::vector<std::string> Expr::variables() const {
-  std::set<std::string> names;
-  collect_variables(names);
-  return {names.begin(), names.end()};
+  const VariableRefs refs = variable_refs();
+  std::vector<std::string> names;
+  names.reserve(refs.size());
+  for (const std::string* name : refs) names.push_back(*name);
+  return names;
 }
 
 // --- factories --------------------------------------------------------------
@@ -75,7 +89,7 @@ bool NotExpr::evaluate(const Assignment& assignment) const { return !operand_->e
 
 std::string NotExpr::to_string() const { return "!(" + operand_->to_string() + ")"; }
 
-void NotExpr::collect_variables(std::set<std::string>& out) const {
+void NotExpr::collect_variables(VariableRefs& out) const {
   operand_->collect_variables(out);
 }
 
@@ -84,7 +98,7 @@ NaryExpr::NaryExpr(ExprKind kind, std::vector<ExprPtr> operands)
   assert(!operands_.empty());
 }
 
-void NaryExpr::collect_variables(std::set<std::string>& out) const {
+void NaryExpr::collect_variables(VariableRefs& out) const {
   for (const auto& op : operands_) op->collect_variables(out);
 }
 
@@ -156,7 +170,7 @@ std::string ImpliesExpr::to_string() const {
   return "(" + antecedent_->to_string() + " -> " + consequent_->to_string() + ")";
 }
 
-void ImpliesExpr::collect_variables(std::set<std::string>& out) const {
+void ImpliesExpr::collect_variables(VariableRefs& out) const {
   antecedent_->collect_variables(out);
   consequent_->collect_variables(out);
 }

@@ -15,9 +15,10 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
+
+#include "util/small_vector.hpp"
 
 namespace sa::expr {
 
@@ -38,6 +39,10 @@ enum class ExprKind {
 /// Truth assignment for variables, keyed by component name.
 using Assignment = std::function<bool(const std::string&)>;
 
+/// Variable names as pointers into the expression's own nodes (valid while
+/// the expression lives); inline for up to 8 references.
+using VariableRefs = util::SmallVector<const std::string*, 8>;
+
 class Expr {
  public:
   virtual ~Expr() = default;
@@ -50,11 +55,15 @@ class Expr {
   /// Canonical text form, parseable by sa::expr::parse.
   virtual std::string to_string() const = 0;
 
-  /// Adds every variable name referenced by this expression to `out`.
-  virtual void collect_variables(std::set<std::string>& out) const = 0;
+  /// Appends every variable reference in this expression to `out`, in
+  /// tree order, repeats included.
+  virtual void collect_variables(VariableRefs& out) const = 0;
 
-  /// All variable names referenced, sorted.
+  /// All variable names referenced, sorted and without repeats.
   std::vector<std::string> variables() const;
+  /// The same names as variable_refs(): sorted, without repeats, and
+  /// allocation-free for up to 8 references.
+  VariableRefs variable_refs() const;
 
  protected:
   explicit Expr(ExprKind kind) : kind_(kind) {}
@@ -87,7 +96,7 @@ class ConstantExpr final : public Expr {
   bool value() const { return value_; }
   bool evaluate(const Assignment&) const override { return value_; }
   std::string to_string() const override { return value_ ? "true" : "false"; }
-  void collect_variables(std::set<std::string>&) const override {}
+  void collect_variables(VariableRefs&) const override {}
 
  private:
   bool value_;
@@ -99,7 +108,7 @@ class VarExpr final : public Expr {
   const std::string& name() const { return name_; }
   bool evaluate(const Assignment& assignment) const override { return assignment(name_); }
   std::string to_string() const override { return name_; }
-  void collect_variables(std::set<std::string>& out) const override { out.insert(name_); }
+  void collect_variables(VariableRefs& out) const override { out.push_back(&name_); }
 
  private:
   std::string name_;
@@ -111,7 +120,7 @@ class NotExpr final : public Expr {
   const ExprPtr& operand() const { return operand_; }
   bool evaluate(const Assignment& assignment) const override;
   std::string to_string() const override;
-  void collect_variables(std::set<std::string>& out) const override;
+  void collect_variables(VariableRefs& out) const override;
 
  private:
   ExprPtr operand_;
@@ -121,7 +130,7 @@ class NotExpr final : public Expr {
 class NaryExpr : public Expr {
  public:
   const std::vector<ExprPtr>& operands() const { return operands_; }
-  void collect_variables(std::set<std::string>& out) const override;
+  void collect_variables(VariableRefs& out) const override;
 
  protected:
   NaryExpr(ExprKind kind, std::vector<ExprPtr> operands);
@@ -170,7 +179,7 @@ class ImpliesExpr final : public Expr {
   const ExprPtr& consequent() const { return consequent_; }
   bool evaluate(const Assignment& assignment) const override;
   std::string to_string() const override;
-  void collect_variables(std::set<std::string>& out) const override;
+  void collect_variables(VariableRefs& out) const override;
 
  private:
   ExprPtr antecedent_;

@@ -93,8 +93,13 @@ class Parser {
     return lhs;
   }
 
+  // The n-ary levels return a lone operand as is: most operands of a real
+  // expression (`one(X, Y)` has two, `E1 -> D1` one per side) are not lists,
+  // and the factories would collapse a one-element list anyway.
   ExprPtr parse_or() {
-    std::vector<ExprPtr> operands{parse_xor()};
+    ExprPtr first = parse_xor();
+    if (lexer_.current().kind != TokenKind::Or) return first;
+    std::vector<ExprPtr> operands{std::move(first)};
     while (lexer_.current().kind == TokenKind::Or) {
       lexer_.advance();
       operands.push_back(parse_xor());
@@ -103,7 +108,9 @@ class Parser {
   }
 
   ExprPtr parse_xor() {
-    std::vector<ExprPtr> operands{parse_and()};
+    ExprPtr first = parse_and();
+    if (lexer_.current().kind != TokenKind::Xor) return first;
+    std::vector<ExprPtr> operands{std::move(first)};
     while (lexer_.current().kind == TokenKind::Xor) {
       lexer_.advance();
       operands.push_back(parse_and());
@@ -112,7 +119,9 @@ class Parser {
   }
 
   ExprPtr parse_and() {
-    std::vector<ExprPtr> operands{parse_unary()};
+    ExprPtr first = parse_unary();
+    if (lexer_.current().kind != TokenKind::And) return first;
+    std::vector<ExprPtr> operands{std::move(first)};
     while (lexer_.current().kind == TokenKind::And) {
       lexer_.advance();
       operands.push_back(parse_unary());
@@ -154,7 +163,9 @@ class Parser {
 
   ExprPtr parse_exactly_one() {
     expect(TokenKind::LParen, "expected '(' after one");
-    std::vector<ExprPtr> operands{parse_expr()};
+    std::vector<ExprPtr> operands;
+    operands.reserve(4);  // one(...) lists are short: one allocation, not a regrowth
+    operands.push_back(parse_expr());
     while (lexer_.current().kind == TokenKind::Comma) {
       lexer_.advance();
       operands.push_back(parse_expr());

@@ -564,15 +564,15 @@ RunResult run_fleet(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
       if (!outcome.reported) continue;
       const auto c = static_cast<std::size_t>(outcome.shard);
       const bool at_target = resting.contains(static_cast<config::ComponentId>(2 * c + 1));
-      if (outcome.result.outcome == proto::AdaptationOutcome::Success && !at_target) {
+      if (outcome.result->outcome == proto::AdaptationOutcome::Success && !at_target) {
         violate("illegal-outcome: shard " + std::to_string(c) +
                 " reported success but rests at its source");
       }
-      if ((outcome.result.outcome == proto::AdaptationOutcome::RolledBackToSource ||
-           outcome.result.outcome == proto::AdaptationOutcome::NoPathFound) &&
+      if ((outcome.result->outcome == proto::AdaptationOutcome::RolledBackToSource ||
+           outcome.result->outcome == proto::AdaptationOutcome::NoPathFound) &&
           at_target) {
         violate("illegal-outcome: shard " + std::to_string(c) + " reported " +
-                std::string(proto::to_string(outcome.result.outcome)) +
+                std::string(proto::to_string(outcome.result->outcome)) +
                 " but rests at its target");
       }
     }

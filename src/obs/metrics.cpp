@@ -38,31 +38,45 @@ double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
 
 std::uint64_t Histogram::count() const { return count_.load(std::memory_order_relaxed); }
 
-std::vector<double> default_time_buckets_us() {
-  return {100,    250,    500,     1'000,   2'500,     5'000,    10'000,
-          25'000, 50'000, 100'000, 250'000, 1'000'000, 5'000'000};
+const std::vector<double>& default_time_buckets_us() {
+  static const std::vector<double> buckets{100,     250,     500,       1'000,    2'500,
+                                           5'000,   10'000,  25'000,    50'000,   100'000,
+                                           250'000, 1'000'000, 5'000'000};
+  return buckets;
 }
 
-std::string render_labels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += key;
-    out += "=\"";
-    for (const char c : value) {
-      if (c == '\\' || c == '"') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
+namespace {
+
+/// Appends one k="v" pair (with the Prometheus escapes) to `out`.
+void append_label(std::string& out, std::string_view key, std::string_view value) {
+  out += key;
+  out += "=\"";
+  for (const char c : value) {
+    if (c == '\\' || c == '"') out += '\\';
+    if (c == '\n') {
+      out += "\\n";
+      continue;
     }
-    out += '"';
+    out += c;
   }
-  out += "}";
+  out += '"';
+}
+
+void append_labels(std::string& out, const Labels& labels) {
+  if (labels.empty()) return;
+  out += '{';
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i != 0) out += ',';
+    append_label(out, labels[i].first, labels[i].second);
+  }
+  out += '}';
+}
+
+}  // namespace
+
+std::string render_labels(const Labels& labels) {
+  std::string out;
+  append_labels(out, labels);
   return out;
 }
 
@@ -82,25 +96,66 @@ MetricsRegistry::Family& MetricsRegistry::family_of(std::string_view name, std::
   return family;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name, Labels labels, std::string_view help) {
+void MetricsRegistry::set_labels(const Labels& labels) {
+  label_buffer_.clear();
+  append_labels(label_buffer_, labels);
+}
+
+void MetricsRegistry::set_label(std::string_view key, std::string_view value) {
+  label_buffer_.assign(1, '{');
+  append_label(label_buffer_, key, value);
+  label_buffer_ += '}';
+}
+
+MetricsRegistry::Series& MetricsRegistry::series_of(Family& family) {
+  const auto it = family.series.find(std::string_view(label_buffer_));
+  if (it != family.series.end()) return it->second;
+  return family.series.try_emplace(label_buffer_).first->second;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name, const Labels& labels,
+                                  std::string_view help) {
   std::lock_guard lock(mutex_);
-  Series& series = family_of(name, "counter", help).series[render_labels(labels)];
-  if (!series.counter) series.counter = std::make_unique<Counter>();
+  set_labels(labels);
+  Series& series = series_of(family_of(name, "counter", help));
+  if (!series.counter) series.counter.emplace();
   return *series.counter;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels, std::string_view help) {
+Counter& MetricsRegistry::counter(std::string_view name, std::string_view key,
+                                  std::string_view value, std::string_view help) {
   std::lock_guard lock(mutex_);
-  Series& series = family_of(name, "gauge", help).series[render_labels(labels)];
-  if (!series.gauge) series.gauge = std::make_unique<Gauge>();
+  set_label(key, value);
+  Series& series = series_of(family_of(name, "counter", help));
+  if (!series.counter) series.counter.emplace();
+  return *series.counter;
+}
+
+Gauge& MetricsRegistry::gauge(std::string_view name, const Labels& labels,
+                              std::string_view help) {
+  std::lock_guard lock(mutex_);
+  set_labels(labels);
+  Series& series = series_of(family_of(name, "gauge", help));
+  if (!series.gauge) series.gauge.emplace();
   return *series.gauge;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, std::vector<double> bounds,
-                                      Labels labels, std::string_view help) {
+Histogram& MetricsRegistry::histogram(std::string_view name, const std::vector<double>& bounds,
+                                      const Labels& labels, std::string_view help) {
   std::lock_guard lock(mutex_);
-  Series& series = family_of(name, "histogram", help).series[render_labels(labels)];
-  if (!series.histogram) series.histogram = std::make_unique<Histogram>(std::move(bounds));
+  set_labels(labels);
+  Series& series = series_of(family_of(name, "histogram", help));
+  if (!series.histogram) series.histogram.emplace(bounds);
+  return *series.histogram;
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name, const std::vector<double>& bounds,
+                                      std::string_view key, std::string_view value,
+                                      std::string_view help) {
+  std::lock_guard lock(mutex_);
+  set_label(key, value);
+  Series& series = series_of(family_of(name, "histogram", help));
+  if (!series.histogram) series.histogram.emplace(bounds);
   return *series.histogram;
 }
 

@@ -4,7 +4,11 @@
 // A metric family (name + type + help) owns one series per label set;
 // counter(), gauge(), and histogram() are get-or-create and return a
 // reference that stays valid for the registry's lifetime, so hot paths look
-// the series up once and then touch an atomic. Counters and gauges are
+// the series up once and then touch an atomic. Looking up a series that
+// exists allocates nothing: labels render into a buffer the registry reuses
+// and both maps take string_view keys; the single-label overloads also skip
+// building a Labels vector, and histogram bounds are copied only when a
+// series is created. Counters and gauges are
 // lock-free; histograms take a per-series mutex (protocol-rate observations,
 // never on a data fast path). snapshot() copies everything in name order, so
 // the Prometheus exposition is deterministic.
@@ -74,7 +78,7 @@ class Histogram {
 
 /// Bucket bounds (µs) covering the protocol's time scales: sub-millisecond
 /// agent actions up through multi-second stalled adaptations.
-std::vector<double> default_time_buckets_us();
+const std::vector<double>& default_time_buckets_us();
 
 struct SeriesSnapshot {
   std::string labels;  ///< rendered "{k=\"v\",...}" or "" when unlabeled
@@ -93,10 +97,18 @@ class MetricsRegistry {
  public:
   /// Get-or-create. Throws std::logic_error if `name` already exists with a
   /// different metric type (one family, one type — Prometheus rules).
-  Counter& counter(std::string_view name, Labels labels = {}, std::string_view help = "");
-  Gauge& gauge(std::string_view name, Labels labels = {}, std::string_view help = "");
-  Histogram& histogram(std::string_view name, std::vector<double> bounds, Labels labels = {},
-                       std::string_view help = "");
+  Counter& counter(std::string_view name, const Labels& labels = {},
+                   std::string_view help = "");
+  Gauge& gauge(std::string_view name, const Labels& labels = {}, std::string_view help = "");
+  Histogram& histogram(std::string_view name, const std::vector<double>& bounds,
+                       const Labels& labels = {}, std::string_view help = "");
+
+  /// Single-label forms: the series {key="value"}, the same one the Labels
+  /// forms name with {{key, value}}.
+  Counter& counter(std::string_view name, std::string_view key, std::string_view value,
+                   std::string_view help);
+  Histogram& histogram(std::string_view name, const std::vector<double>& bounds,
+                       std::string_view key, std::string_view value, std::string_view help);
 
   /// Deterministic copy of every family and series, in name / label order.
   std::vector<FamilySnapshot> snapshot() const;
@@ -106,21 +118,29 @@ class MetricsRegistry {
   double histogram_family_sum(std::string_view name) const;
 
  private:
+  /// One series; only the member matching its family's type is engaged.
+  /// Map nodes never move, so the metrics live in the node itself.
   struct Series {
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::optional<Counter> counter;
+    std::optional<Gauge> gauge;
+    std::optional<Histogram> histogram;
   };
   struct Family {
     std::string type;
     std::string help;
-    std::map<std::string, Series> series;  ///< key: rendered labels
+    std::map<std::string, Series, std::less<>> series;  ///< key: rendered labels
   };
 
   Family& family_of(std::string_view name, std::string_view type, std::string_view help);
+  /// Render the labels of the lookup in progress into label_buffer_.
+  void set_labels(const Labels& labels);
+  void set_label(std::string_view key, std::string_view value);
+  /// The series of `family` whose rendered labels are in label_buffer_.
+  Series& series_of(Family& family);
 
   mutable std::mutex mutex_;
   std::map<std::string, Family, std::less<>> families_;
+  std::string label_buffer_;  ///< rendered labels of the lookup in progress
 };
 
 /// Renders labels as {k="v",k2="v2"}; empty labels render as "".

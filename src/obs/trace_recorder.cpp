@@ -187,11 +187,19 @@ std::size_t TraceRecorder::capacity() const {
 
 void TraceRecorder::set_track_name(std::int64_t track, std::string name) {
   std::lock_guard lock(mutex_);
-  tracks_[track] = std::move(name);
+  const auto it = std::lower_bound(
+      tracks_.begin(), tracks_.end(), track,
+      [](const std::pair<std::int64_t, std::string>& t, std::int64_t key) { return t.first < key; });
+  if (it != tracks_.end() && it->first == track) {
+    it->second = std::move(name);
+  } else {
+    tracks_.emplace(it, track, std::move(name));
+  }
 }
 
 void TraceRecorder::set_node_track(runtime::NodeId node, std::int64_t track) {
   std::lock_guard lock(mutex_);
+  if (node >= node_tracks_.size()) node_tracks_.resize(node + 1, kNoTrack);
   node_tracks_[node] = track;
 }
 
@@ -251,14 +259,13 @@ std::vector<Event> TraceRecorder::tail(std::size_t n) const { return merge(n); }
 
 std::map<std::int64_t, std::string> TraceRecorder::track_names() const {
   std::lock_guard lock(mutex_);
-  return tracks_;
+  return {tracks_.begin(), tracks_.end()};
 }
 
 std::optional<std::int64_t> TraceRecorder::node_track(runtime::NodeId node) const {
   std::lock_guard lock(mutex_);
-  const auto it = node_tracks_.find(node);
-  if (it == node_tracks_.end()) return std::nullopt;
-  return it->second;
+  if (node >= node_tracks_.size() || node_tracks_[node] == kNoTrack) return std::nullopt;
+  return node_tracks_[node];
 }
 
 std::size_t TraceRecorder::size() const {

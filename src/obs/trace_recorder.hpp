@@ -190,8 +190,8 @@ class TraceRecorder {
   std::vector<std::unique_ptr<detail::Ring>> rings_;        ///< registration order
   std::map<std::thread::id, std::size_t> thread_rings_;     ///< thread -> ring index
   mutable std::atomic<std::uint64_t> torn_{0};
-  std::map<std::int64_t, std::string> tracks_;
-  std::map<runtime::NodeId, std::int64_t> node_tracks_;
+  std::vector<std::pair<std::int64_t, std::string>> tracks_;  ///< ascending track
+  std::vector<std::int64_t> node_tracks_;  ///< by node id; kNoTrack: unset
 };
 
 }  // namespace sa::obs

@@ -100,7 +100,7 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
       case OutputKind::DuplicateMessage:
         if (metrics_ != nullptr) {
           metrics_
-              ->counter("sa_duplicate_protocol_messages_total", {{"type", out.label}},
+              ->counter("sa_duplicate_protocol_messages_total", "type", out.label,
                         "Retransmitted / duplicated protocol messages seen by agents")
               .inc();
         }
@@ -160,22 +160,25 @@ void AdaptationAgent::apply_arm_timer(const Output& out) {
   // the timer thread has dequeued the callback, cancel() returns false and
   // the callback will still run, but it then observes a newer generation and
   // bails instead of acting for a step it no longer belongs to. On the
-  // simulator cancel() always wins, so the guard never trips.
-  const char* label = out.label;
+  // simulator cancel() always wins, so the guard never trips. The callback
+  // captures {this, gen} only, so std::function holds it inline.
+  pending_label_ = out.label;
   const std::uint64_t gen = ++pending_gen_;
-  pending_event_ = clock_->schedule_after(out.delay, [this, gen, label] {
-    std::lock_guard lock(mutex_);
-    if (gen != pending_gen_) return;  // cancelled or superseded after dequeue
-    pending_event_ = 0;
-    if (tracing(obs::EventKind::TimerFired)) {
-      obs::Event e;
-      e.kind = obs::EventKind::TimerFired;
-      if (core_.current_step()) e.coords = coords_of(*core_.current_step());
-      e.name = label;
-      trace_event(std::move(e));
-    }
-    dispatch(AgentInput::TimerFired{});
-  });
+  pending_event_ = clock_->schedule_after(out.delay, [this, gen] { on_timer(gen); });
+}
+
+void AdaptationAgent::on_timer(std::uint64_t gen) {
+  std::lock_guard lock(mutex_);
+  if (gen != pending_gen_) return;  // cancelled or superseded after dequeue
+  pending_event_ = 0;
+  if (tracing(obs::EventKind::TimerFired)) {
+    obs::Event e;
+    e.kind = obs::EventKind::TimerFired;
+    if (core_.current_step()) e.coords = coords_of(*core_.current_step());
+    e.name = pending_label_;
+    trace_event(std::move(e));
+  }
+  dispatch(AgentInput::TimerFired{});
 }
 
 void AdaptationAgent::apply_disarm_timer(const Output& out) {

@@ -92,6 +92,8 @@ class AdaptationAgent {
   void apply(const std::vector<Output>& outputs);
   void apply_arm_timer(const Output& out);
   void apply_disarm_timer(const Output& out);
+  /// A fire of the pending-action timer armed as generation `gen`.
+  void on_timer(std::uint64_t gen);
 
   // --- observability (no-ops until set_observability is called) --------------
   bool tracing() const { return recorder_ != nullptr && tracing_enabled(); }
@@ -117,6 +119,7 @@ class AdaptationAgent {
   /// time and bail on mismatch, so a fire that raced a failed cancel() on
   /// the threaded backend cannot mutate state belonging to a newer step.
   std::uint64_t pending_gen_ = 0;
+  const char* pending_label_ = "";  ///< label of the armed generation
 
   obs::TraceRecorder* recorder_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -9,6 +9,15 @@
 
 namespace sa::proto {
 
+namespace {
+
+const std::vector<double>& batch_shard_buckets() {
+  static const std::vector<double> buckets{1, 2, 4, 8, 16, 32, 64, 128, 256};
+  return buckets;
+}
+
+}  // namespace
+
 AdaptationCoordinator::AdaptationCoordinator(runtime::Runtime& rt, runtime::NodeId node,
                                              CoordinatorConfig config, int depth)
     : clock_(&rt.clock()),
@@ -127,8 +136,8 @@ void AdaptationCoordinator::dispatch(CoordinatorInput input) {
   apply(lease.buffer());
 }
 
-void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
-  for (const Output& out : outputs) {
+void AdaptationCoordinator::apply(std::vector<Output>& outputs) {
+  for (Output& out : outputs) {
     switch (out.kind) {
       case OutputKind::Send:
         transport_->send(node_, child_nodes_.at(out.process), out.message);
@@ -189,12 +198,12 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         }
         if (metrics_ != nullptr) {
           metrics_
-              ->histogram("sa_epoch_batch_shards", {1, 2, 4, 8, 16, 32, 64, 128, 256},
-                          {{"depth", depth_label()}}, "Shards per sealed epoch, by tree depth")
+              ->histogram("sa_epoch_batch_shards", batch_shard_buckets(), "depth", depth_label(),
+                          "Shards per sealed epoch, by tree depth")
               .observe(out.value);
           if (out.extra > 0) {
             metrics_
-                ->counter("sa_epoch_coalesced_total", {{"depth", depth_label()}},
+                ->counter("sa_epoch_coalesced_total", "depth", depth_label(),
                           "Same-shard requests merged by group commit, by tree depth")
                 .inc(static_cast<std::uint64_t>(out.extra));
           }
@@ -215,17 +224,16 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         }
         if (metrics_ != nullptr) {
           metrics_
-              ->counter("sa_epochs_total", {{"depth", depth_label()}},
+              ->counter("sa_epochs_total", "depth", depth_label(),
                         "Completed epochs, by tree depth")
               .inc();
           metrics_
-              ->histogram("sa_epoch_latency_us", obs::default_time_buckets_us(),
-                          {{"depth", depth_label()}},
-                          "Seal-to-complete commit latency, by tree depth")
+              ->histogram("sa_epoch_latency_us", obs::default_time_buckets_us(), "depth",
+                          depth_label(), "Seal-to-complete commit latency, by tree depth")
               .observe(static_cast<double>(clock_->now() - epoch_sealed_at_));
           if (out.extra > 0) {
             metrics_
-                ->counter("sa_epoch_orphaned_shards_total", {{"depth", depth_label()}},
+                ->counter("sa_epoch_orphaned_shards_total", "depth", depth_label(),
                           "Shards orphaned by the commit timeout, by tree depth")
                 .inc(static_cast<std::uint64_t>(out.extra));
           }
@@ -238,7 +246,7 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         SA_DEBUG("coordinator") << "absorbed " << out.label << ": " << out.detail;
         if (metrics_ != nullptr) {
           metrics_
-              ->counter("sa_coordinator_duplicates_total", {{"depth", depth_label()}},
+              ->counter("sa_coordinator_duplicates_total", "depth", depth_label(),
                         "Stale or re-delivered coordinator messages absorbed, by tree depth")
               .inc();
         }
@@ -260,25 +268,33 @@ void AdaptationCoordinator::apply_arm_timer(const Output& out) {
   }
   // Same generation-guard discipline as the manager: a fire that the threaded
   // backend dequeued before a failed cancel() observes a newer generation and
-  // bails instead of sealing or timing out an epoch it no longer owns.
-  const char* label = out.label;
-  const CoordinatorTimer slot = out.ctimer;
-  runtime::TimerId& id = slot == CoordinatorTimer::Epoch ? epoch_timer_ : commit_timer_;
-  std::uint64_t& gen_slot = slot == CoordinatorTimer::Epoch ? epoch_gen_ : commit_gen_;
-  const std::uint64_t gen = ++gen_slot;
-  id = clock_->schedule_after(out.delay, [this, gen, slot, label] {
-    std::lock_guard lock(mutex_);
-    std::uint64_t& current = slot == CoordinatorTimer::Epoch ? epoch_gen_ : commit_gen_;
-    if (gen != current) return;  // superseded or disarmed after dequeue
-    (slot == CoordinatorTimer::Epoch ? epoch_timer_ : commit_timer_) = 0;
-    if (tracing(obs::EventKind::TimerFired)) {
-      obs::Event e;
-      e.kind = obs::EventKind::TimerFired;
-      e.name = label;
-      trace_event(std::move(e));
-    }
-    dispatch(CoordinatorInput{clock_->now(), CoordinatorInput::TimerFired{slot}});
-  });
+  // bails instead of sealing or timing out an epoch it no longer owns. The
+  // callback captures {this, gen} only, so std::function holds it inline.
+  if (out.ctimer == CoordinatorTimer::Epoch) {
+    epoch_label_ = out.label;
+    const std::uint64_t gen = ++epoch_gen_;
+    epoch_timer_ = clock_->schedule_after(
+        out.delay, [this, gen] { on_timer(CoordinatorTimer::Epoch, gen); });
+  } else {
+    commit_label_ = out.label;
+    const std::uint64_t gen = ++commit_gen_;
+    commit_timer_ = clock_->schedule_after(
+        out.delay, [this, gen] { on_timer(CoordinatorTimer::Commit, gen); });
+  }
+}
+
+void AdaptationCoordinator::on_timer(CoordinatorTimer slot, std::uint64_t gen) {
+  std::lock_guard lock(mutex_);
+  const bool epoch = slot == CoordinatorTimer::Epoch;
+  if (gen != (epoch ? epoch_gen_ : commit_gen_)) return;  // superseded or disarmed
+  (epoch ? epoch_timer_ : commit_timer_) = 0;
+  if (tracing(obs::EventKind::TimerFired)) {
+    obs::Event e;
+    e.kind = obs::EventKind::TimerFired;
+    e.name = epoch ? epoch_label_ : commit_label_;
+    trace_event(std::move(e));
+  }
+  dispatch(CoordinatorInput{clock_->now(), CoordinatorInput::TimerFired{slot}});
 }
 
 void AdaptationCoordinator::apply_disarm_timer(const Output& out) {
@@ -303,28 +319,61 @@ void AdaptationCoordinator::apply_disarm_timer(const Output& out) {
 
 void AdaptationCoordinator::apply_execute_shard(const Output& out) {
   AdaptationManager* manager = shard_manager_.at(out.shard);
-  const std::uint32_t shard = out.shard;
-  const std::uint64_t epoch = out.epoch;
-  const config::Configuration target = out.config;
+  std::uint32_t slot = 0;
+  {
+    std::lock_guard guard(executions_mutex_);
+    if (executions_.empty()) executions_.reserve(shard_manager_.size());
+    while (slot < executions_.size() && executions_[slot].manager != nullptr) ++slot;
+    if (slot == executions_.size()) executions_.emplace_back();
+    executions_[slot] = Execution{manager, out.shard, out.epoch, out.config, out.parent_span, {}};
+  }
   // Both hops go through the executor so the coordinator lock and the
   // manager lock are never held together (no lock-order cycle when a manager
   // completion races a coordinator timer on the threaded backend).
-  const std::uint64_t cause = out.parent_span;
-  executor_->post([this, manager, shard, epoch, target, cause] {
-    manager->enqueue_adaptation(
-        target,
-        [this, shard, epoch](const AdaptationResult& result) {
-          executor_->post([this, shard, epoch, result] {
-            std::lock_guard lock(mutex_);
-            dispatch(CoordinatorInput{clock_->now(),
-                                      CoordinatorInput::ShardFinished{epoch, shard, result}});
-          });
-        },
-        cause);
-  });
+  executor_->post([this, slot] { start_execution(slot); });
 }
 
-void AdaptationCoordinator::apply_ticket_done(const Output& out) {
+void AdaptationCoordinator::start_execution(std::uint32_t slot) {
+  AdaptationManager* manager = nullptr;
+  config::Configuration target;
+  std::uint64_t cause = 0;
+  {
+    std::lock_guard guard(executions_mutex_);
+    const Execution& execution = executions_[slot];
+    manager = execution.manager;
+    target = execution.target;
+    cause = execution.cause;
+  }
+  manager->enqueue_adaptation(
+      target,
+      [this, slot](const AdaptationResult& result) { finish_execution(slot, result); }, cause);
+}
+
+void AdaptationCoordinator::finish_execution(std::uint32_t slot,
+                                             const AdaptationResult& result) {
+  // The one copy of this result: every level above shares it.
+  std::shared_ptr<const AdaptationResult> shared = std::make_shared<AdaptationResult>(result);
+  {
+    std::lock_guard guard(executions_mutex_);
+    executions_[slot].result = std::move(shared);
+  }
+  executor_->post([this, slot] { report_execution(slot); });
+}
+
+void AdaptationCoordinator::report_execution(std::uint32_t slot) {
+  std::lock_guard lock(mutex_);
+  CoordinatorInput::ShardFinished finished;
+  {
+    std::lock_guard guard(executions_mutex_);
+    Execution& execution = executions_[slot];
+    finished = CoordinatorInput::ShardFinished{execution.epoch, execution.shard,
+                                               std::move(execution.result)};
+    execution = Execution{};
+  }
+  dispatch(CoordinatorInput{clock_->now(), std::move(finished)});
+}
+
+void AdaptationCoordinator::apply_ticket_done(Output& out) {
   const auto it = pending_tickets_.find(out.ticket);
   if (it == pending_tickets_.end()) {
     SA_WARN("coordinator") << "result for unknown ticket " << out.ticket;
@@ -333,7 +382,7 @@ void AdaptationCoordinator::apply_ticket_done(const Output& out) {
   TicketResult result;
   result.ticket = out.ticket;
   result.epoch = out.epoch;
-  result.outcomes = out.shard_outcomes;
+  result.outcomes = std::move(out.shard_outcomes);
   result.started = it->second.started;
   result.finished = clock_->now();
   TicketHandler handler = std::move(it->second.handler);

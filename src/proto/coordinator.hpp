@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -92,11 +93,18 @@ class AdaptationCoordinator {
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
   /// Feeds one input to the core and executes its outputs. Call under mutex_.
   void dispatch(CoordinatorInput input);
-  void apply(const std::vector<Output>& outputs);
+  /// Executes `outputs`, moving payloads out of the ones it consumes last.
+  void apply(std::vector<Output>& outputs);
   void apply_arm_timer(const Output& out);
   void apply_disarm_timer(const Output& out);
+  /// A fire of timer `slot` armed as generation `gen`.
+  void on_timer(CoordinatorTimer slot, std::uint64_t gen);
   void apply_execute_shard(const Output& out);
-  void apply_ticket_done(const Output& out);
+  void apply_ticket_done(Output& out);
+  // The three hops of one ExecuteShard (see executions_).
+  void start_execution(std::uint32_t slot);
+  void finish_execution(std::uint32_t slot, const AdaptationResult& result);
+  void report_execution(std::uint32_t slot);
 
   bool tracing() const;
   bool tracing(obs::EventKind kind) const;  ///< also applies the detail filter
@@ -122,6 +130,26 @@ class AdaptationCoordinator {
   runtime::TimerId commit_timer_ = 0;
   std::uint64_t epoch_gen_ = 0;
   std::uint64_t commit_gen_ = 0;
+  const char* epoch_label_ = "";   ///< label of the armed generation
+  const char* commit_label_ = "";
+
+  /// One ExecuteShard in flight. It crosses three executor hops: to the
+  /// manager (without the coordinator lock), the manager's completion, and
+  /// back under the coordinator lock. Each hop captures {this, slot}, which
+  /// std::function holds inline; the execution itself waits here. A slot
+  /// whose manager is null is free.
+  struct Execution {
+    AdaptationManager* manager = nullptr;
+    std::uint32_t shard = 0;
+    std::uint64_t epoch = 0;
+    config::Configuration target;
+    std::uint64_t cause = 0;
+    std::shared_ptr<const AdaptationResult> result;  ///< set by the completion
+  };
+  std::vector<Execution> executions_;
+  /// Guards executions_ only and is never held while taking another lock, so
+  /// hops running under the manager's lock may take it too.
+  std::mutex executions_mutex_;
 
   std::uint64_t next_ticket_ = 1;
   struct PendingTicket {

@@ -15,6 +15,14 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// First record of a shard-sorted vector (ShardTarget / ShardOutcome) whose
+/// shard is not below `shard`.
+template <typename Records>
+auto lower_bound_shard(Records& records, std::uint32_t shard) {
+  return std::lower_bound(records.begin(), records.end(), shard,
+                          [](const auto& record, std::uint32_t s) { return record.shard < s; });
+}
+
 }  // namespace
 
 std::size_t CoordinatorCore::add_child(std::vector<std::uint32_t> shards) {
@@ -24,7 +32,42 @@ std::size_t CoordinatorCore::add_child(std::vector<std::uint32_t> shards) {
 }
 
 void CoordinatorCore::add_local_shard(std::uint32_t shard, std::uint32_t lane) {
-  local_lane_[shard] = lane;
+  const auto it = std::lower_bound(local_lane_.begin(), local_lane_.end(),
+                                   std::pair<std::uint32_t, std::uint32_t>{shard, 0});
+  if (it != local_lane_.end() && it->first == shard) {
+    it->second = lane;
+  } else {
+    local_lane_.insert(it, {shard, lane});
+  }
+}
+
+const std::uint32_t* CoordinatorCore::local_lane(std::uint32_t shard) const {
+  const auto it = std::lower_bound(local_lane_.begin(), local_lane_.end(),
+                                   std::pair<std::uint32_t, std::uint32_t>{shard, 0});
+  return it != local_lane_.end() && it->first == shard ? &it->second : nullptr;
+}
+
+bool CoordinatorCore::child_covers(std::size_t child, std::uint32_t shard) const {
+  return std::binary_search(children_[child].begin(), children_[child].end(), shard);
+}
+
+void CoordinatorCore::collect(ShardOutcome outcome) {
+  const auto it = lower_bound_shard(commit_.collected, outcome.shard);
+  if (it != commit_.collected.end() && it->shard == outcome.shard) {
+    *it = std::move(outcome);
+  } else {
+    commit_.collected.insert(it, std::move(outcome));
+  }
+}
+
+void CoordinatorCore::orphan(std::uint32_t shard, runtime::Time now, std::string detail) {
+  const auto it = lower_bound_shard(commit_.collected, shard);
+  if (it != commit_.collected.end() && it->shard == shard) return;
+  auto result = std::make_shared<AdaptationResult>();
+  result->outcome = AdaptationOutcome::UserInterventionRequired;
+  result->started = result->finished = now;
+  result->detail = std::move(detail);
+  commit_.collected.insert(it, ShardOutcome{shard, /*reported=*/false, std::move(result)});
 }
 
 std::uint64_t CoordinatorCore::wire_epoch() const {
@@ -117,19 +160,23 @@ void CoordinatorCore::on_submit(const CoordinatorInput::SubmitRequest& submit,
   Ticket ticket;
   ticket.id = submit.ticket;
   ticket.parent_span = submit.parent_span;
+  ticket.shards.reserve(submit.targets.size());
   for (const ShardTarget& target : submit.targets) ticket.shards.push_back(target.shard);
   std::sort(ticket.shards.begin(), ticket.shards.end());
   ticket.shards.erase(std::unique(ticket.shards.begin(), ticket.shards.end()),
                       ticket.shards.end());
   tickets_.push_back(std::move(ticket));
 
+  pending_.reserve(pending_.size() + submit.targets.size());
   for (const ShardTarget& target : submit.targets) {
-    auto [it, inserted] = pending_.emplace(target.shard, target.target);
-    if (!inserted) {
+    const auto it = lower_bound_shard(pending_, target.shard);
+    if (it != pending_.end() && it->shard == target.shard) {
       // Group commit: a later request for the same shard within the epoch
       // supersedes the earlier target — one plan per shard per epoch.
-      it->second = target.target;
+      it->target = target.target;
       ++coalesced_;
+    } else {
+      pending_.insert(it, target);
     }
   }
 
@@ -144,11 +191,10 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
   commit_.wire = wire_epoch();
   commit_.tickets = std::move(tickets_);
   tickets_.clear();
-
-  std::vector<ShardTarget> targets;
-  targets.reserve(pending_.size());
-  for (const auto& [shard, target] : pending_) targets.push_back(ShardTarget{shard, target});
+  commit_.targets = std::move(pending_);
   pending_.clear();
+  const std::vector<ShardTarget>& targets = commit_.targets;
+  commit_.collected.reserve(targets.size());
 
   Output sealed;
   sealed.kind = OutputKind::EpochSealed;
@@ -175,20 +221,20 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
 
   // Partition the batch: each child gets the slice its subtree covers, each
   // local lane gets its queue. Disjoint children and lanes run concurrently.
+  if (!children_.empty()) commit_.child_outstanding.assign(children_.size(), 0);
   for (std::size_t child = 0; child < children_.size(); ++child) {
+    std::size_t slice = 0;
+    for (const ShardTarget& target : targets) slice += child_covers(child, target.shard) ? 1 : 0;
+    if (slice == 0) continue;
     auto message = std::make_shared<EpochCommitMsg>();
     message->epoch = commit_.wire;
     message->ctx = CausalContext{commit_.wire, commit_.wire, epoch_span(epoch_)};
-    std::vector<std::uint32_t> slice;
+    message->targets.reserve(slice);
     for (const ShardTarget& target : targets) {
-      if (std::binary_search(children_[child].begin(), children_[child].end(),
-                             target.shard)) {
-        message->targets.push_back(target);
-        slice.push_back(target.shard);
-      }
+      if (child_covers(child, target.shard)) message->targets.push_back(target);
     }
-    if (slice.empty()) continue;
-    commit_.child_outstanding.emplace(child, std::move(slice));
+    commit_.child_outstanding[child] = 1;
+    ++commit_.children_outstanding;
     Output send;
     send.kind = OutputKind::Send;
     send.process = static_cast<config::ProcessId>(child);
@@ -197,36 +243,41 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
     out.push_back(std::move(send));
   }
   for (const ShardTarget& target : targets) {
-    const auto lane = local_lane_.find(target.shard);
-    if (lane == local_lane_.end()) continue;
-    commit_.lanes[lane->second].queue.push_back(target);
-    ++commit_.local_outstanding;
+    if (const std::uint32_t* lane = local_lane(target.shard)) {
+      if (commit_.local.empty()) commit_.local.reserve(targets.size());
+      commit_.local.push_back(LocalTarget{*lane, target});
+    }
   }
-  for (const auto& [lane, run] : commit_.lanes) {
+  // Group by lane; shards are unique, so (lane, shard) order is total and
+  // each lane keeps its shards in ascending order.
+  std::sort(commit_.local.begin(), commit_.local.end(),
+            [](const LocalTarget& a, const LocalTarget& b) {
+              return a.lane != b.lane ? a.lane < b.lane : a.target.shard < b.target.shard;
+            });
+  commit_.local_outstanding = commit_.local.size();
+  for (std::size_t i = 0; i < commit_.local.size(); ++i) {
+    if (i == 0 || commit_.local[i].lane != commit_.local[i - 1].lane) {
+      commit_.lanes.push_back(LaneRun{commit_.local[i].lane, i, i, i});
+    }
+    ++commit_.lanes.back().end;
+  }
+  for (const LaneRun& run : commit_.lanes) {
     Output exec;
     exec.kind = OutputKind::ExecuteShard;
     exec.epoch = epoch_;
-    exec.shard = run.queue.front().shard;
-    exec.config = run.queue.front().target;
+    exec.shard = commit_.local[run.begin].target.shard;
+    exec.config = commit_.local[run.begin].target.target;
     exec.parent_span = epoch_span(epoch_);
     out.push_back(std::move(exec));
   }
   // Anything routed to neither a child nor a local lane cannot execute:
   // orphan it immediately rather than waiting out the commit timeout.
   for (const ShardTarget& target : targets) {
-    const bool local = local_lane_.contains(target.shard);
-    bool routed = local;
-    for (const auto& [child, slice] : commit_.child_outstanding) {
-      routed = routed || std::binary_search(slice.begin(), slice.end(), target.shard);
+    bool routed = local_lane(target.shard) != nullptr;
+    for (std::size_t child = 0; !routed && child < children_.size(); ++child) {
+      routed = child_covers(child, target.shard);
     }
-    if (routed) continue;
-    ShardOutcome orphan;
-    orphan.shard = target.shard;
-    orphan.reported = false;
-    orphan.result.outcome = AdaptationOutcome::UserInterventionRequired;
-    orphan.result.started = orphan.result.finished = now;
-    orphan.result.detail = "orphaned: no subtree covers this shard";
-    commit_.collected.emplace(target.shard, std::move(orphan));
+    if (!routed) orphan(target.shard, now, "orphaned: no subtree covers this shard");
   }
 
   Output arm;
@@ -246,16 +297,17 @@ void CoordinatorCore::on_child_done(const CoordinatorInput::ChildDone& done,
                    "stale report for epoch " + std::to_string(done.epoch), out);
     return;
   }
-  const auto outstanding = commit_.child_outstanding.find(done.child);
-  if (outstanding == commit_.child_outstanding.end()) {
+  if (done.child >= commit_.child_outstanding.size() ||
+      commit_.child_outstanding[done.child] == 0) {
     note_duplicate("epoch done",
                    "child " + std::to_string(done.child) + " already reported", out);
     return;
   }
   for (const ShardOutcome& outcome : done.outcomes) {
-    commit_.collected[outcome.shard] = outcome;  // keep the child's orphan flags
+    collect(outcome);  // keep the child's orphan flags
   }
-  commit_.child_outstanding.erase(outstanding);
+  commit_.child_outstanding[done.child] = 0;
+  --commit_.children_outstanding;
   maybe_complete(now, out, /*timed_out=*/false);
 }
 
@@ -266,24 +318,20 @@ void CoordinatorCore::on_shard_finished(const CoordinatorInput::ShardFinished& f
                    "stale completion for shard " + std::to_string(finished.shard), out);
     return;
   }
-  for (auto& [lane, run] : commit_.lanes) {
-    if (run.next >= run.queue.size() || run.queue[run.next].shard != finished.shard) continue;
-    ShardOutcome outcome;
-    outcome.shard = finished.shard;
-    outcome.reported = true;
-    outcome.result = finished.result;
-    commit_.collected[finished.shard] = std::move(outcome);
+  for (LaneRun& run : commit_.lanes) {
+    if (run.next >= run.end || commit_.local[run.next].target.shard != finished.shard) continue;
+    collect(ShardOutcome{finished.shard, /*reported=*/true, finished.result});
     ++run.next;
     --commit_.local_outstanding;
-    if (run.next < run.queue.size()) {
+    if (run.next < run.end) {
       // Lane serialization: the next shard of this lane starts only now —
       // its agents drive the same underlying processes. A failed shard does
       // not block the rest of its lane (§4.4 isolation per shard).
       Output exec;
       exec.kind = OutputKind::ExecuteShard;
       exec.epoch = epoch_;
-      exec.shard = run.queue[run.next].shard;
-      exec.config = run.queue[run.next].target;
+      exec.shard = commit_.local[run.next].target.shard;
+      exec.config = commit_.local[run.next].target.target;
       exec.parent_span = epoch_span(epoch_);
       out.push_back(std::move(exec));
     }
@@ -296,26 +344,24 @@ void CoordinatorCore::on_shard_finished(const CoordinatorInput::ShardFinished& f
 
 void CoordinatorCore::on_commit_timeout(runtime::Time now, std::vector<Output>& out) {
   if (phase_ != CoordinatorPhase::Committing) return;
-  const auto orphan = [&](std::uint32_t shard, const char* who) {
-    if (commit_.collected.contains(shard)) return;
-    ShardOutcome outcome;
-    outcome.shard = shard;
-    outcome.reported = false;
-    outcome.result.outcome = AdaptationOutcome::UserInterventionRequired;
-    outcome.result.started = outcome.result.finished = now;
-    outcome.result.detail = std::string("orphaned: no report from ") + who +
-                            " before the commit timeout";
-    commit_.collected.emplace(shard, std::move(outcome));
+  const auto too_late = [](const char* who) {
+    return std::string("orphaned: no report from ") + who + " before the commit timeout";
   };
-  for (const auto& [child, slice] : commit_.child_outstanding) {
-    for (const std::uint32_t shard : slice) orphan(shard, "child subtree");
-  }
-  commit_.child_outstanding.clear();
-  for (auto& [lane, run] : commit_.lanes) {
-    for (std::size_t i = run.next; i < run.queue.size(); ++i) {
-      orphan(run.queue[i].shard, "local lane");
+  for (std::size_t child = 0; child < commit_.child_outstanding.size(); ++child) {
+    if (commit_.child_outstanding[child] == 0) continue;
+    for (const ShardTarget& target : commit_.targets) {
+      if (child_covers(child, target.shard)) {
+        orphan(target.shard, now, too_late("child subtree"));
+      }
     }
-    run.next = run.queue.size();
+    commit_.child_outstanding[child] = 0;
+  }
+  commit_.children_outstanding = 0;
+  for (LaneRun& run : commit_.lanes) {
+    for (std::size_t i = run.next; i < run.end; ++i) {
+      orphan(commit_.local[i].target.shard, now, too_late("local lane"));
+    }
+    run.next = run.end;
   }
   commit_.local_outstanding = 0;
   maybe_complete(now, out, /*timed_out=*/true);
@@ -323,7 +369,7 @@ void CoordinatorCore::on_commit_timeout(runtime::Time now, std::vector<Output>& 
 
 void CoordinatorCore::maybe_complete(runtime::Time now, std::vector<Output>& out,
                                      bool timed_out) {
-  if (!commit_.child_outstanding.empty() || commit_.local_outstanding != 0) return;
+  if (commit_.children_outstanding != 0 || commit_.local_outstanding != 0) return;
   if (!timed_out) {
     Output disarm;
     disarm.kind = OutputKind::DisarmTimer;
@@ -332,31 +378,40 @@ void CoordinatorCore::maybe_complete(runtime::Time now, std::vector<Output>& out
     out.push_back(std::move(disarm));
   }
 
-  std::vector<ShardOutcome> outcomes;
-  outcomes.reserve(commit_.collected.size());
+  std::vector<ShardOutcome>& collected = commit_.collected;
   std::size_t orphans = 0;
-  for (const auto& [shard, outcome] : commit_.collected) {
-    orphans += outcome.reported ? 0 : 1;
-    outcomes.push_back(outcome);
-  }
+  for (const ShardOutcome& outcome : collected) orphans += outcome.reported ? 0 : 1;
   Output completed;
   completed.kind = OutputKind::EpochCompleted;
   completed.epoch = epoch_;
   completed.span = epoch_span(epoch_);
-  completed.value = static_cast<double>(outcomes.size());
+  completed.value = static_cast<double>(collected.size());
   completed.has_value = true;
   completed.extra = static_cast<double>(orphans);
-  completed.shard_outcomes = outcomes;
   out.push_back(std::move(completed));
   ++epochs_completed_;
 
   // Per-ticket results, in submission order: each ticket learns the fate of
   // exactly the shards it asked for (coalesced shards share one outcome).
-  for (const Ticket& ticket : commit_.tickets) {
+  // Outcomes are shared pointers, so a slice copies no result; the last
+  // ticket takes the collected list whole when it asked for all of it.
+  for (std::size_t i = 0; i < commit_.tickets.size(); ++i) {
+    const Ticket& ticket = commit_.tickets[i];
     std::vector<ShardOutcome> slice;
-    for (const std::uint32_t shard : ticket.shards) {
-      const auto it = commit_.collected.find(shard);
-      if (it != commit_.collected.end()) slice.push_back(it->second);
+    const bool whole = i + 1 == commit_.tickets.size() &&
+                       std::equal(ticket.shards.begin(), ticket.shards.end(),
+                                  collected.begin(), collected.end(),
+                                  [](std::uint32_t shard, const ShardOutcome& o) {
+                                    return shard == o.shard;
+                                  });
+    if (whole) {
+      slice = std::move(collected);
+    } else {
+      slice.reserve(ticket.shards.size());
+      for (const std::uint32_t shard : ticket.shards) {
+        const auto it = lower_bound_shard(collected, shard);
+        if (it != collected.end() && it->shard == shard) slice.push_back(*it);
+      }
     }
     if (has_parent_) {
       auto message = std::make_shared<EpochDoneMsg>();
@@ -395,11 +450,11 @@ void CoordinatorCore::fingerprint(std::uint64_t& h) const {
   h = mix(h, epoch_);
   h = mix(h, last_parent_ticket_);
   h = mix(h, pending_.size());
-  for (const auto& [shard, target] : pending_) {
-    h = mix(h, shard);
-    h = mix(h, target.bits());
+  for (const ShardTarget& target : pending_) {
+    h = mix(h, target.shard);
+    h = mix(h, target.target.bits());
   }
-  h = mix(h, commit_.child_outstanding.size());
+  h = mix(h, commit_.children_outstanding);
   h = mix(h, commit_.local_outstanding);
   h = mix(h, commit_.collected.size());
 }

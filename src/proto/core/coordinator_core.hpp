@@ -26,7 +26,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "proto/core/io.hpp"
@@ -90,10 +91,17 @@ class CoordinatorCore {
   void fingerprint(std::uint64_t& h) const;
 
  private:
-  /// One lane's sealed work: targets in shard order, executed sequentially.
+  /// One local lane's share of the sealed epoch: entries [begin, end) of
+  /// Commit::local, executed one after another from `next`.
   struct LaneRun {
-    std::vector<ShardTarget> queue;
+    std::uint32_t lane = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     std::size_t next = 0;
+  };
+  struct LocalTarget {
+    std::uint32_t lane = 0;
+    ShardTarget target;
   };
   struct Ticket {
     std::uint64_t id = 0;
@@ -101,14 +109,19 @@ class CoordinatorCore {
     std::uint64_t parent_span = 0;      ///< causing span (root ticket span or
                                         ///< the parent's epoch span)
   };
-  /// The sealed epoch in flight.
+  /// The sealed epoch in flight. Flat vectors throughout: a commit lives for
+  /// one epoch and holds a few dozen shards, so sorted arrays beat node-based
+  /// maps on both allocations and lookups.
   struct Commit {
     std::uint64_t wire = 0;  ///< epoch number announced on the wire
     std::vector<Ticket> tickets;
-    std::map<std::size_t, std::vector<std::uint32_t>> child_outstanding;
-    std::map<std::uint32_t, LaneRun> lanes;
+    std::vector<ShardTarget> targets;             ///< the batch, ascending shard
+    std::vector<std::uint8_t> child_outstanding;  ///< per child: 1 until it reports
+    std::size_t children_outstanding = 0;
+    std::vector<LocalTarget> local;  ///< local targets by (lane, shard)
+    std::vector<LaneRun> lanes;      ///< ascending lane
     std::size_t local_outstanding = 0;
-    std::map<std::uint32_t, ShardOutcome> collected;
+    std::vector<ShardOutcome> collected;  ///< ascending shard, one per shard
   };
 
   void on_submit(const CoordinatorInput::SubmitRequest& submit, runtime::Time now,
@@ -127,6 +140,14 @@ class CoordinatorCore {
   std::uint64_t wire_epoch() const;
   std::uint64_t epoch_span(std::uint64_t epoch) const;
   void note_duplicate(const char* label, std::string detail, std::vector<Output>& out);
+  /// Lane of local shard `shard`, or nullptr when another subtree runs it.
+  const std::uint32_t* local_lane(std::uint32_t shard) const;
+  bool child_covers(std::size_t child, std::uint32_t shard) const;
+  /// Records `outcome`, replacing an earlier one for the same shard.
+  void collect(ShardOutcome outcome);
+  /// Collects a synthesized UserInterventionRequired outcome for `shard`
+  /// unless it already has one.
+  void orphan(std::uint32_t shard, runtime::Time now, std::string detail);
 
   CoordinatorConfig config_;
   CoordinatorFault fault_ = CoordinatorFault::None;
@@ -134,7 +155,8 @@ class CoordinatorCore {
   std::uint64_t span_seed_ = 0;
 
   std::vector<std::vector<std::uint32_t>> children_;  ///< child -> covered shards
-  std::map<std::uint32_t, std::uint32_t> local_lane_;  ///< local shard -> lane
+  /// (local shard, lane), ascending shard.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> local_lane_;
 
   CoordinatorPhase phase_ = CoordinatorPhase::Idle;
   std::uint64_t epoch_ = 0;
@@ -143,7 +165,7 @@ class CoordinatorCore {
 
   // The open batch. Accumulates while Batching — and during Committing, where
   // it becomes the NEXT epoch (group commit across submission bursts).
-  std::map<std::uint32_t, config::Configuration> pending_;  ///< shard -> target
+  std::vector<ShardTarget> pending_;  ///< one target per shard, ascending shard
   std::size_t coalesced_ = 0;
   std::vector<Ticket> tickets_;
 

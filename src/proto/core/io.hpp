@@ -114,7 +114,7 @@ struct CoordinatorInput {
   struct ShardFinished {  ///< a local lane finished executing one shard
     std::uint64_t epoch = 0;
     std::uint32_t shard = 0;
-    AdaptationResult result;
+    std::shared_ptr<const AdaptationResult> result;  ///< shared up the tree as is
   };
   struct TimerFired {
     CoordinatorTimer timer = CoordinatorTimer::Epoch;
@@ -161,7 +161,7 @@ enum class OutputKind : std::uint8_t {
   ExecuteShard,    ///< drive local shard `shard` to `config` (tagged `epoch`)
   EpochOpened,     ///< a batch began accumulating (`epoch` = number to seal)
   EpochSealed,     ///< batch frozen (value = shard count, extra = coalesced)
-  EpochCompleted,  ///< every child/lane reported (extra = orphan count)
+  EpochCompleted,  ///< every child/lane reported (value = shards, extra = orphans)
   TicketDone,      ///< one submission's `shard_outcomes` ready (root only)
   FlowLink,        ///< causal edge for tracing: `span` caused by `parent_span`
 };
@@ -202,7 +202,7 @@ struct Output {
   std::uint64_t epoch = 0;   ///< epoch the output belongs to
   std::uint32_t shard = 0;   ///< ExecuteShard subject
   std::uint64_t ticket = 0;  ///< TicketDone subject
-  std::vector<ShardOutcome> shard_outcomes;  ///< EpochCompleted / TicketDone
+  std::vector<ShardOutcome> shard_outcomes;  ///< TicketDone, ascending shard id
 
   // --- causal tracing ---------------------------------------------------------
   std::uint64_t span = 0;         ///< span this output belongs to

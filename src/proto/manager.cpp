@@ -15,6 +15,16 @@ obs::StepCoords coords_of(const StepRef& ref) {
   return obs::StepCoords{ref.request_id, ref.plan, ref.step_index, ref.attempt};
 }
 
+const std::vector<double>& plan_length_buckets() {
+  static const std::vector<double> buckets{1, 2, 3, 4, 5, 6, 8, 10, 15, 20};
+  return buckets;
+}
+
+const std::vector<double>& plan_cost_buckets() {
+  static const std::vector<double> buckets{1, 2, 5, 10, 20, 50, 100, 200, 500};
+  return buckets;
+}
+
 }  // namespace
 
 AdaptationManager::AdaptationManager(runtime::Runtime& rt, runtime::NodeId node,
@@ -62,9 +72,8 @@ void AdaptationManager::observe_blocked(config::ProcessId process, runtime::Time
   total_blocked_reported_ += blocked;
   if (metrics_ != nullptr) {
     metrics_
-        ->histogram("sa_blocked_time_us", obs::default_time_buckets_us(),
-                    {{"process", std::to_string(process)}},
-                    "Per-step blocked time reported by each process")
+        ->histogram("sa_blocked_time_us", obs::default_time_buckets_us(), "process",
+                    std::to_string(process), "Per-step blocked time reported by each process")
         .observe(static_cast<double>(blocked));
   }
 }
@@ -186,7 +195,7 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
           trace_event(std::move(e));
         }
         if (metrics_ != nullptr) {
-          metrics_->counter("sa_steps_total", {{"fate", "committed"}}, "Adaptation steps by fate")
+          metrics_->counter("sa_steps_total", "fate", "committed", "Adaptation steps by fate")
               .inc();
           if (!out.flag) {
             metrics_
@@ -215,7 +224,7 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
           trace_event(std::move(e));
         }
         if (metrics_ != nullptr) {
-          metrics_->counter("sa_steps_total", {{"fate", "rolled_back"}}, "Adaptation steps by fate")
+          metrics_->counter("sa_steps_total", "fate", "rolled_back", "Adaptation steps by fate")
               .inc();
         }
         break;
@@ -247,11 +256,11 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
         }
         if (metrics_ != nullptr) {
           metrics_
-              ->histogram("sa_plan_length", {1, 2, 3, 4, 5, 6, 8, 10, 15, 20}, {},
+              ->histogram("sa_plan_length", plan_length_buckets(), {},
                           "Steps per computed adaptation path")
               .observe(out.extra);
           metrics_
-              ->histogram("sa_plan_cost", {1, 2, 5, 10, 20, 50, 100, 200, 500}, {},
+              ->histogram("sa_plan_cost", plan_cost_buckets(), {},
                           "Total action cost per computed adaptation path")
               .observe(out.value);
         }
@@ -261,7 +270,7 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
       case OutputKind::Retransmission:
         if (metrics_ != nullptr) {
           metrics_
-              ->counter("sa_retransmissions_total", {{"phase", out.label}},
+              ->counter("sa_retransmissions_total", "phase", out.label,
                         "Retransmission rounds by protocol phase")
               .inc();
         }
@@ -270,9 +279,8 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
         if (metrics_ != nullptr && !step_log_.empty()) {
           // Reset latency: reset sent (step start) -> reset done received.
           metrics_
-              ->histogram("sa_reset_latency_us", obs::default_time_buckets_us(),
-                          {{"process", std::to_string(out.process)}},
-                          "Reset round-trip latency per process")
+              ->histogram("sa_reset_latency_us", obs::default_time_buckets_us(), "process",
+                          std::to_string(out.process), "Reset round-trip latency per process")
               .observe(static_cast<double>(clock_->now() - step_log_.back().started));
         }
         break;
@@ -313,38 +321,33 @@ void AdaptationManager::apply_arm_timer(const Output& out) {
   // the callback will still run, but it then observes a newer generation and
   // bails instead of clobbering a re-armed timer or firing in the wrong
   // phase. On the simulator cancel() always wins, so the guard never trips.
-  const char* label = out.label;
+  // Callbacks capture {this, gen} only, so std::function holds them inline.
   if (out.timer == ManagerTimer::Protocol) {
+    timer_label_ = out.label;
     const std::uint64_t gen = ++timer_gen_;
-    timer_ = clock_->schedule_after(out.delay, [this, gen, label] {
-      std::lock_guard lock(mutex_);
-      if (gen != timer_gen_) return;  // superseded or disarmed after dequeue
-      timer_ = 0;
-      if (tracing(obs::EventKind::TimerFired)) {
-        obs::Event e;
-        e.kind = obs::EventKind::TimerFired;
-        e.coords = coords_of(core_.current_ref());
-        e.name = label;
-        trace_event(std::move(e));
-      }
-      dispatch(ManagerInput::TimerFired{ManagerTimer::Protocol});
-    });
+    timer_ = clock_->schedule_after(out.delay,
+                                    [this, gen] { on_timer(ManagerTimer::Protocol, gen); });
   } else {
+    stage_delay_label_ = out.label;
     const std::uint64_t gen = ++stage_delay_gen_;
-    stage_delay_event_ = clock_->schedule_after(out.delay, [this, gen, label] {
-      std::lock_guard lock(mutex_);
-      if (gen != stage_delay_gen_) return;  // disarmed after dequeue
-      stage_delay_event_ = 0;
-      if (tracing(obs::EventKind::TimerFired)) {
-        obs::Event e;
-        e.kind = obs::EventKind::TimerFired;
-        e.coords = coords_of(core_.current_ref());
-        e.name = label;
-        trace_event(std::move(e));
-      }
-      dispatch(ManagerInput::TimerFired{ManagerTimer::StageDelay});
-    });
+    stage_delay_event_ = clock_->schedule_after(
+        out.delay, [this, gen] { on_timer(ManagerTimer::StageDelay, gen); });
   }
+}
+
+void AdaptationManager::on_timer(ManagerTimer slot, std::uint64_t gen) {
+  std::lock_guard lock(mutex_);
+  const bool protocol = slot == ManagerTimer::Protocol;
+  if (gen != (protocol ? timer_gen_ : stage_delay_gen_)) return;  // superseded or disarmed
+  (protocol ? timer_ : stage_delay_event_) = 0;
+  if (tracing(obs::EventKind::TimerFired)) {
+    obs::Event e;
+    e.kind = obs::EventKind::TimerFired;
+    e.coords = coords_of(core_.current_ref());
+    e.name = protocol ? timer_label_ : stage_delay_label_;
+    trace_event(std::move(e));
+  }
+  dispatch(ManagerInput::TimerFired{slot});
 }
 
 void AdaptationManager::apply_disarm_timer(const Output& out) {
@@ -384,7 +387,7 @@ void AdaptationManager::apply_outcome(const Output& out) {
   }
   if (metrics_ != nullptr) {
     metrics_
-        ->counter("sa_adaptations_total", {{"outcome", std::string(to_string(result.outcome))}},
+        ->counter("sa_adaptations_total", "outcome", to_string(result.outcome),
                   "Completed adaptation requests by outcome")
         .inc();
     metrics_
@@ -406,7 +409,7 @@ void AdaptationManager::apply_outcome(const Output& out) {
       std::lock_guard lock(mutex_);
       if (core_.busy() || pending_requests_.empty()) return;
       PendingRequest next = std::move(pending_requests_.front());
-      pending_requests_.pop_front();
+      pending_requests_.erase(pending_requests_.begin());
       request_adaptation(std::move(next.target), std::move(next.handler), next.cause_span);
     });
   }

@@ -11,7 +11,6 @@
 // timer callbacks carry generation guards against stale fires.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -143,6 +142,8 @@ class AdaptationManager {
   void apply(const std::vector<Output>& outputs);
   void apply_arm_timer(const Output& out);
   void apply_disarm_timer(const Output& out);
+  /// A fire of timer `slot` armed as generation `gen`.
+  void on_timer(ManagerTimer slot, std::uint64_t gen);
   void apply_outcome(const Output& out);
 
   std::optional<config::ProcessId> process_of_node(runtime::NodeId node) const;
@@ -182,6 +183,8 @@ class AdaptationManager {
   /// threaded backend cannot act in the wrong phase.
   std::uint64_t timer_gen_ = 0;
   std::uint64_t stage_delay_gen_ = 0;
+  const char* timer_label_ = "";  ///< labels of the armed generations
+  const char* stage_delay_label_ = "";
 
   std::vector<StepRecord> step_log_;
   runtime::Time total_blocked_reported_ = 0;
@@ -194,7 +197,9 @@ class AdaptationManager {
     CompletionHandler handler;
     std::uint64_t cause_span = 0;
   };
-  std::deque<PendingRequest> pending_requests_;
+  /// FIFO; a vector, since a default-constructed deque already allocates
+  /// and most managers never queue a request.
+  std::vector<PendingRequest> pending_requests_;
 
   /// Serializes message handlers, timer callbacks, and request submission.
   /// Recursive: an Outcome output invokes the completion handler under the

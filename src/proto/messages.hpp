@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,10 +172,15 @@ struct ShardTarget {
 /// One shard's fate inside a completed epoch. `reported == false` marks an
 /// orphan: the commit timeout elapsed before the subtree responsible for the
 /// shard reported, so its coordinator synthesized the outcome.
+///
+/// The result is immutable and shared: the coordinator that first learns a
+/// shard's fate allocates it once, and every level above, every EpochDoneMsg
+/// and the root ticket hold the same object, so carrying an outcome up the
+/// tree copies a pointer rather than the result and its detail text.
 struct ShardOutcome {
   std::uint32_t shard = 0;
   bool reported = true;
-  AdaptationResult result;
+  std::shared_ptr<const AdaptationResult> result;  ///< never null once emitted
 };
 
 enum class CoordMsgKind : std::uint8_t { EpochCommit, EpochDone };

@@ -195,7 +195,7 @@ void register_wire_codecs() {
         for (const ShardOutcome& o : msg.outcomes) {
           w.u32(o.shard);
           w.u8(o.reported ? 1 : 0);
-          put_result(o.result, w);
+          put_result(o.result ? *o.result : AdaptationResult{}, w);
         }
       },
       [](WireReader& r) -> runtime::MessagePtr {
@@ -208,7 +208,7 @@ void register_wire_codecs() {
           ShardOutcome o;
           o.shard = r.u32();
           o.reported = r.u8() != 0;
-          o.result = get_result(r);
+          o.result = std::make_shared<AdaptationResult>(get_result(r));
           msg->outcomes.push_back(std::move(o));
         }
         return msg;

@@ -8,15 +8,16 @@
 
 namespace sa::sim {
 
-bool Channel::send(MessagePtr message, const std::function<void(NodeId, MessagePtr)>& deliver) {
+Channel::Arrivals Channel::send(const Message& message) {
+  Arrivals out;
   ++stats_.sent;
   if (partitioned_) {
     ++stats_.dropped_partition;
-    return false;
+    return out;
   }
   if (config_.loss_probability > 0.0 && rng_->next_bool(config_.loss_probability)) {
     ++stats_.dropped_loss;
-    return false;
+    return out;
   }
   Time send_complete = sim_->now();
   if (config_.bytes_per_second > 0) {
@@ -24,7 +25,7 @@ bool Channel::send(MessagePtr message, const std::function<void(NodeId, MessageP
     // occupies it for size/bandwidth.
     const Time start = std::max(sim_->now(), link_free_at_);
     const Time transmission = static_cast<Time>(
-        (static_cast<__int128>(message->size_bytes()) * 1'000'000) / config_.bytes_per_second);
+        (static_cast<__int128>(message.size_bytes()) * 1'000'000) / config_.bytes_per_second);
     send_complete = start + transmission;
     link_free_at_ = send_complete;
   }
@@ -36,9 +37,8 @@ bool Channel::send(MessagePtr message, const std::function<void(NodeId, MessageP
   Time arrival = send_complete + delay;
   if (config_.fifo && arrival < last_delivery_) arrival = last_delivery_;
   last_delivery_ = arrival;
-
-  const NodeId sender = from_;
-  sim_->schedule_at(arrival, [sender, message, deliver]() { deliver(sender, message); });
+  out.accepted = true;
+  out.arrival = arrival;
   ++stats_.delivered;
 
   if (config_.duplicate_probability > 0.0 && rng_->next_bool(config_.duplicate_probability)) {
@@ -50,13 +50,11 @@ bool Channel::send(MessagePtr message, const std::function<void(NodeId, MessageP
              : config_.latency);
     if (config_.fifo && copy_arrival < last_delivery_) copy_arrival = last_delivery_;
     last_delivery_ = std::max(last_delivery_, copy_arrival);
-    sim_->schedule_at(copy_arrival,
-                      [sender, message = std::move(message), deliver]() {
-                        deliver(sender, message);
-                      });
+    out.duplicated = true;
+    out.copy_arrival = copy_arrival;
     ++stats_.duplicated;
   }
-  return true;
+  return out;
 }
 
 NodeId Network::add_node(std::string name, ReceiveHandler handler) {
@@ -70,14 +68,31 @@ void Network::set_handler(NodeId node, ReceiveHandler handler) {
   handlers_.at(node) = std::move(handler);
 }
 
+namespace {
+
+bool before(const Channel& channel, std::pair<NodeId, NodeId> key) {
+  return std::pair(channel.from(), channel.to()) < key;
+}
+
+}  // namespace
+
 Channel& Network::link(NodeId from, NodeId to, ChannelConfig config) {
   if (from >= names_.size() || to >= names_.size()) {
     throw std::out_of_range("Network::link: unknown node");
   }
   runtime::checked_channel_config(config);
-  auto& slot = channels_[{from, to}];
-  slot = std::make_unique<Channel>(*sim_, rng_, from, to, config);
-  return *slot;
+  const auto it = std::lower_bound(channels_.begin(), channels_.end(), std::pair(from, to), before);
+  if (it != channels_.end() && it->from() == from && it->to() == to) {
+    *it = Channel(*sim_, rng_, from, to, config);
+    return *it;
+  }
+  return *channels_.insert(it, Channel(*sim_, rng_, from, to, config));
+}
+
+std::size_t Network::channel_index(NodeId from, NodeId to) const {
+  const auto it = std::lower_bound(channels_.begin(), channels_.end(), std::pair(from, to), before);
+  if (it == channels_.end() || it->from() != from || it->to() != to) return channels_.size();
+  return static_cast<std::size_t>(it - channels_.begin());
 }
 
 void Network::link_bidirectional(NodeId a, NodeId b, ChannelConfig config) {
@@ -96,54 +111,78 @@ void Network::set_loss(NodeId from, NodeId to, double probability) {
 }
 
 ChannelStats Network::channel_stats(NodeId from, NodeId to) const {
-  const auto it = channels_.find({from, to});
-  if (it == channels_.end()) {
+  const std::size_t index = channel_index(from, to);
+  if (index == channels_.size()) {
     throw std::out_of_range("no channel " + names_.at(from) + " -> " + names_.at(to));
   }
-  return it->second->stats();
+  return channels_[index].stats();
 }
 
 Channel& Network::channel(NodeId from, NodeId to) {
-  const auto it = channels_.find({from, to});
-  if (it == channels_.end()) {
+  const std::size_t index = channel_index(from, to);
+  if (index == channels_.size()) {
     throw std::out_of_range("no channel " + names_.at(from) + " -> " + names_.at(to));
   }
-  return *it->second;
+  return channels_[index];
 }
 
 bool Network::has_channel(NodeId from, NodeId to) const {
-  return channels_.contains({from, to});
+  return channel_index(from, to) != channels_.size();
 }
 
 bool Network::send(NodeId from, NodeId to, MessagePtr message) {
   Channel& ch = channel(from, to);
   const std::string type = message->type_name();
-  const ChannelStats before = ch.stats();
-  const bool accepted = ch.send(std::move(message), [this, to](NodeId sender, MessagePtr msg) {
-    const std::string delivered_type = msg->type_name();
-    if (tracing_) {
-      trace_.push_back(TraceEntry{sim_->now(), sender, to, delivered_type, true, msg});
+  const Channel::Arrivals arrivals = ch.send(*message);
+  if (arrivals.accepted) {
+    if (arrivals.duplicated) {
+      deliver_at(arrivals.arrival, from, to, message);
+      deliver_at(arrivals.copy_arrival, from, to, std::move(message));
+    } else {
+      deliver_at(arrivals.arrival, from, to, std::move(message));
     }
-    observer_.on_delivered(sim_->now(), sender, to, delivered_type);
-    if (handlers_.at(to)) handlers_[to](sender, std::move(msg));
-  });
-  const ChannelStats& after = ch.stats();
-  if (accepted) {
     observer_.on_sent(sim_->now(), from, to, type);
-    if (after.duplicated > before.duplicated) observer_.on_duplicated(sim_->now(), from, to, type);
+    if (arrivals.duplicated) observer_.on_duplicated(sim_->now(), from, to, type);
   } else {
     SA_DEBUG("network") << names_[from] << " -> " << names_[to] << " dropped " << type;
     if (tracing_) trace_.push_back(TraceEntry{sim_->now(), from, to, type, false, nullptr});
     observer_.on_dropped(sim_->now(), from, to, type,
-                         after.dropped_partition > before.dropped_partition ? "partition"
-                                                                            : "loss");
+                         ch.partitioned() ? "partition" : "loss");
   }
-  return accepted;
+  return arrivals.accepted;
+}
+
+void Network::deliver_at(Time at, NodeId from, NodeId to, MessagePtr message) {
+  std::uint32_t slot = free_slot_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    free_slot_ = in_flight_[slot].next_free;
+  }
+  in_flight_[slot] = InFlight{from, to, std::move(message), 0};
+  sim_->schedule_at(at, [this, slot] { deliver(slot); });
+}
+
+void Network::deliver(std::uint32_t slot) {
+  InFlight& parked = in_flight_[slot];
+  const NodeId sender = parked.from;
+  const NodeId to = parked.to;
+  MessagePtr msg = std::move(parked.message);
+  // Free the slot before the handler runs: it may send, and so park, more.
+  parked.next_free = free_slot_;
+  free_slot_ = slot;
+  const std::string delivered_type = msg->type_name();
+  if (tracing_) {
+    trace_.push_back(TraceEntry{sim_->now(), sender, to, delivered_type, true, msg});
+  }
+  observer_.on_delivered(sim_->now(), sender, to, delivered_type);
+  if (handlers_.at(to)) handlers_[to](sender, std::move(msg));
 }
 
 void Network::partition_node(NodeId node, bool partitioned) {
-  for (auto& [key, channel] : channels_) {
-    if (key.first == node || key.second == node) channel->set_partitioned(partitioned);
+  for (Channel& channel : channels_) {
+    if (channel.from() == node || channel.to() == node) channel.set_partitioned(partitioned);
   }
 }
 

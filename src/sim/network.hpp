@@ -14,8 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,9 +50,19 @@ class Channel {
     config_.loss_probability = runtime::checked_probability(p, "loss probability");
   }
 
-  /// Queues `message` for delivery to `deliver` subject to loss/partition;
-  /// returns true if the message was accepted (i.e. not dropped).
-  bool send(MessagePtr message, const std::function<void(NodeId, MessagePtr)>& deliver);
+  /// When the message handed to send() arrives, and when its copy does if
+  /// the channel duplicated it.
+  struct Arrivals {
+    bool accepted = false;  ///< false: dropped by loss or partition
+    Time arrival = 0;
+    bool duplicated = false;
+    Time copy_arrival = 0;
+  };
+
+  /// Applies partition, loss, bandwidth, latency, jitter, FIFO and
+  /// duplication to `message`, in that order of random draws, and updates
+  /// the stats. The caller schedules the deliveries.
+  Arrivals send(const Message& message);
 
  private:
   Simulator* sim_;
@@ -79,7 +87,9 @@ class Network final : public runtime::Transport {
   const std::string& node_name(NodeId node) const override { return names_.at(node); }
   std::size_t node_count() const override { return names_.size(); }
 
-  /// Creates (or reconfigures) the directed channel from -> to.
+  /// Creates (or reconfigures) the directed channel from -> to. Channels
+  /// live in one flat array, so a returned reference is valid until the next
+  /// link().
   Channel& link(NodeId from, NodeId to, ChannelConfig config = {});
 
   /// Both directions with the same config.
@@ -116,11 +126,29 @@ class Network final : public runtime::Transport {
   util::Rng& rng() { return rng_; }
 
  private:
+  /// A message between send and delivery. Its delivery event captures
+  /// {this, slot}, which std::function holds inline, instead of the message.
+  struct InFlight {
+    NodeId from = 0;
+    NodeId to = 0;
+    MessagePtr message;              ///< null while the slot is free
+    std::uint32_t next_free = 0;     ///< free-list link while free
+  };
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// Index of channel from -> to in channels_, or channels_.size().
+  std::size_t channel_index(NodeId from, NodeId to) const;
+  /// Parks `message` and schedules its delivery at `at`.
+  void deliver_at(Time at, NodeId from, NodeId to, MessagePtr message);
+  void deliver(std::uint32_t slot);
+
   Simulator* sim_;
   util::Rng rng_;
   std::vector<std::string> names_;
   std::vector<ReceiveHandler> handlers_;
-  std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Channel>> channels_;
+  std::vector<Channel> channels_;  ///< ascending (from, to)
+  std::vector<InFlight> in_flight_;
+  std::uint32_t free_slot_ = kNoSlot;
   bool tracing_ = false;
   std::vector<TraceEntry> trace_;
   obs::MessageObserver observer_;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -32,44 +31,48 @@ namespace detail {
 void emit(LogLevel level, std::string_view component, std::string_view message);
 }
 
+/// True when a record at `level` would be emitted.
+inline bool log_enabled(LogLevel level) { return level >= log_level(); }
+
 /// Streaming log record: `LogRecord(LogLevel::Info, "manager") << "x=" << x;`
-/// The message is emitted when the record goes out of scope.
-///
-/// A disabled record (level below the global threshold) does no work at all:
-/// the component stays a borrowed string_view (callers pass literals that
-/// outlive the statement) and the ostringstream is only constructed on the
-/// first streamed value, so `SA_DEBUG(...) << ...` costs two stores and a
-/// branch when debug logging is off. bench_protocol guards this with
-/// BM_DisabledLogging.
+/// The message is emitted when the record goes out of scope. Construct
+/// records through the SA_* macros below, which build one only when its
+/// level is enabled.
 class LogRecord {
  public:
-  LogRecord(LogLevel level, std::string_view component)
-      : level_(level), component_(component), enabled_(level >= log_level()) {}
+  LogRecord(LogLevel level, std::string_view component) : level_(level), component_(component) {}
   LogRecord(const LogRecord&) = delete;
   LogRecord& operator=(const LogRecord&) = delete;
-  ~LogRecord() {
-    if (enabled_) detail::emit(level_, component_, stream_ ? stream_->str() : std::string());
-  }
+  ~LogRecord() { detail::emit(level_, component_, stream_.str()); }
 
   template <typename T>
   LogRecord& operator<<(const T& value) {
-    if (enabled_) {
-      if (!stream_) stream_.emplace();
-      *stream_ << value;
-    }
+    stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::string_view component_;
-  bool enabled_;
-  std::optional<std::ostringstream> stream_;  ///< constructed on first <<
+  std::string_view component_;  ///< borrowed: callers pass literals
+  std::ostringstream stream_;
+};
+
+/// Turns a streamed record into void so that both arms of the SA_LOG
+/// conditional have one type. `&` binds looser than `<<` and tighter than
+/// `?:`, so the whole `<<` chain lands in the enabled arm.
+struct LogVoidify {
+  void operator&(const LogRecord&) const {}
 };
 
 }  // namespace sa::util
 
-#define SA_LOG(level, component) ::sa::util::LogRecord(level, component)
+/// A disabled record does no work at all: the level test short-circuits the
+/// whole statement, so streamed operands are not even evaluated and
+/// `SA_DEBUG(...) << describe()` costs one load and a branch when debug
+/// logging is off. bench_protocol guards this with BM_DisabledLogging.
+#define SA_LOG(level, component)                           \
+  !::sa::util::log_enabled(level) ? static_cast<void>(0) \
+                                  : ::sa::util::LogVoidify() & ::sa::util::LogRecord(level, component)
 #define SA_TRACE(component) SA_LOG(::sa::util::LogLevel::Trace, component)
 #define SA_DEBUG(component) SA_LOG(::sa::util::LogLevel::Debug, component)
 #define SA_INFO(component) SA_LOG(::sa::util::LogLevel::Info, component)

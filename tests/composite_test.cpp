@@ -88,7 +88,7 @@ TEST(Composite, AdaptsAllClustersConcurrently) {
   fixture.system.set_current_configuration(fixture.all_x());
   const auto result = fixture.system.adapt_and_wait(fixture.all_y());
   EXPECT_TRUE(result.success);
-  EXPECT_EQ(result.shard_results.size(), 4U);
+  EXPECT_EQ(result.outcomes.size(), 4U);
   EXPECT_EQ(result.final_config, fixture.all_y());
   EXPECT_EQ(fixture.system.current_configuration(), fixture.all_y());
   for (auto& [process, stub] : fixture.processes) EXPECT_EQ(stub->applies, 1);
@@ -113,7 +113,7 @@ TEST(Composite, SubsetRequestTouchesOnlyInvolvedShards) {
                     .with(3);    // Y1
   const auto result = fixture.system.adapt_and_wait(target);
   EXPECT_TRUE(result.success);
-  EXPECT_EQ(result.shard_results.size(), 1U);  // only one shard worked
+  EXPECT_EQ(result.outcomes.size(), 1U);  // only one shard worked
   EXPECT_EQ(fixture.processes.at(1)->applies, 1);
   EXPECT_EQ(fixture.processes.at(0)->applies, 0);
   EXPECT_EQ(fixture.processes.at(2)->applies, 0);
@@ -125,7 +125,7 @@ TEST(Composite, NoOpRequestSucceedsImmediately) {
   fixture.system.set_current_configuration(fixture.all_x());
   const auto result = fixture.system.adapt_and_wait(fixture.all_x());
   EXPECT_TRUE(result.success);
-  EXPECT_TRUE(result.shard_results.empty());
+  EXPECT_TRUE(result.outcomes.empty());
 }
 
 TEST(Composite, PartialFailureIsolatedToItsShard) {
@@ -140,10 +140,10 @@ TEST(Composite, PartialFailureIsolatedToItsShard) {
   const auto result = fixture.system.adapt_and_wait(fixture.all_y());
 
   EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.shard_results.size(), 3U);
+  EXPECT_EQ(result.outcomes.size(), 3U);
   int successes = 0;
-  for (const auto& shard_result : result.shard_results) {
-    successes += shard_result.outcome == proto::AdaptationOutcome::Success;
+  for (const proto::ShardOutcome& outcome : result.outcomes) {
+    successes += outcome.result->outcome == proto::AdaptationOutcome::Success;
   }
   EXPECT_EQ(successes, 2);  // the two healthy clusters adapted
   // The stitched configuration is safe in every shard.
@@ -270,8 +270,8 @@ TEST(Composite, PaperScenarioCollapsesToOneShard) {
   system.set_current_configuration(paper_source(system.registry()));
   const auto result = system.adapt_and_wait(paper_target(system.registry()));
   EXPECT_TRUE(result.success);
-  ASSERT_EQ(result.shard_results.size(), 1U);
-  EXPECT_EQ(result.shard_results[0].steps_committed, 5U);
+  ASSERT_EQ(result.outcomes.size(), 1U);
+  EXPECT_EQ(result.outcomes[0].result->steps_committed, 5U);
   EXPECT_EQ(result.final_config, paper_target(system.registry()));
 }
 
@@ -312,7 +312,7 @@ TEST(Composite, ZeroSetsFinalizesAndCompletesRequests) {
   system.set_current_configuration({});
   const auto result = system.adapt_and_wait({});
   EXPECT_TRUE(result.success);
-  EXPECT_TRUE(result.shard_results.empty());
+  EXPECT_TRUE(result.outcomes.empty());
   EXPECT_EQ(result.orphaned, 0U);
 }
 
@@ -342,7 +342,7 @@ TEST(Composite, TopologyShapesTheCoordinatorTree) {
   fixture.system.set_current_configuration(fixture.all_x());
   const auto result = fixture.system.adapt_and_wait(fixture.all_y());
   EXPECT_TRUE(result.success);
-  EXPECT_EQ(result.shard_results.size(), 4U);
+  EXPECT_EQ(result.outcomes.size(), 4U);
   EXPECT_EQ(fixture.system.current_configuration(), fixture.all_y());
 }
 
@@ -365,12 +365,12 @@ TEST(Composite, SameSeedRunsAreBitIdentical) {
   EXPECT_EQ(a.finished, b.finished);
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.final_config, b.final_config);
-  ASSERT_EQ(a.shard_results.size(), b.shard_results.size());
-  for (std::size_t i = 0; i < a.shard_results.size(); ++i) {
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].shard, b.outcomes[i].shard);
-    EXPECT_EQ(a.shard_results[i].outcome, b.shard_results[i].outcome);
-    EXPECT_EQ(a.shard_results[i].started, b.shard_results[i].started);
-    EXPECT_EQ(a.shard_results[i].finished, b.shard_results[i].finished);
+    EXPECT_EQ(a.outcomes[i].result->outcome, b.outcomes[i].result->outcome);
+    EXPECT_EQ(a.outcomes[i].result->started, b.outcomes[i].result->started);
+    EXPECT_EQ(a.outcomes[i].result->finished, b.outcomes[i].result->finished);
   }
 }
 
@@ -386,6 +386,47 @@ TEST(Composite, TreeTraceConformsOverCoordinatorAndManagerVocabularies) {
   const proto::ConformanceChecker checker(fixture.system.manager_nodes());
   const auto violations = checker.check(fixture.system.network().trace());
   for (const auto& v : violations) ADD_FAILURE() << v.time << ": " << v.description;
+}
+
+TEST(Composite, ShardResultsReachTheRootTicketUnchanged) {
+  // A three-level tree (4 leaves, 2 interior nodes, the root) with one leaf
+  // cut off from its parent: the three reachable shards report the result
+  // their manager made, the cut-off shard is orphaned one level up, and
+  // both kinds cross every level above without being rewritten.
+  CompositeConfig config;
+  config.topology.lanes_per_leaf = 1;
+  config.topology.fanout = 2;
+  config.topology.commit_timeout = sim::ms(100);
+  ClusterFixture fixture(4, config);
+  ASSERT_EQ(fixture.system.tree_depth(), 3U);
+  const auto [parent, leaf] = fixture.system.coordinator_links().front();
+  fixture.system.network().partition_pair(parent, leaf, true);
+  fixture.system.set_current_configuration(fixture.all_x());
+
+  const auto result = fixture.system.adapt_and_wait(fixture.all_y());
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(result.orphaned, 1U);
+  ASSERT_EQ(result.outcomes.size(), 4U);
+  std::size_t orphans = 0;
+  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
+    const proto::ShardOutcome& outcome = result.outcomes[i];
+    EXPECT_EQ(outcome.shard, i);  // ascending shard id
+    ASSERT_NE(outcome.result, nullptr);
+    if (outcome.reported) {
+      EXPECT_EQ(outcome.result->outcome, proto::AdaptationOutcome::Success);
+      EXPECT_EQ(outcome.result->detail, "target configuration reached");
+      EXPECT_EQ(outcome.result->steps_committed, 1U);
+      EXPECT_LT(outcome.result->started, outcome.result->finished);
+    } else {
+      ++orphans;
+      EXPECT_EQ(outcome.result->outcome, proto::AdaptationOutcome::UserInterventionRequired);
+      EXPECT_EQ(outcome.result->detail,
+                "orphaned: no report from child subtree before the commit timeout");
+      EXPECT_EQ(fixture.system.shard_manager(i).current_configuration(),
+                config::Configuration().with(0));  // never executed: still on X
+    }
+  }
+  EXPECT_EQ(orphans, 1U);
 }
 
 TEST(Composite, OutOfEpochCommitIsCaughtByTheConformanceGate) {

@@ -36,9 +36,9 @@ CoordinatorInput commit_fires(runtime::Time now = 0) {
 CoordinatorInput shard_done(std::uint64_t epoch, std::uint32_t shard,
                             proto::AdaptationOutcome outcome = proto::AdaptationOutcome::Success,
                             runtime::Time now = 0) {
-  proto::AdaptationResult result;
-  result.outcome = outcome;
-  return CoordinatorInput{now, CoordinatorInput::ShardFinished{epoch, shard, result}};
+  auto result = std::make_shared<proto::AdaptationResult>();
+  result->outcome = outcome;
+  return CoordinatorInput{now, CoordinatorInput::ShardFinished{epoch, shard, std::move(result)}};
 }
 
 std::vector<const Output*> of_kind(const std::vector<Output>& outputs, OutputKind kind) {
@@ -145,10 +145,10 @@ TEST(CoordinatorCoreTest, PartialFailureIsolatedPerShard) {
   ASSERT_NE(done, nullptr);
   EXPECT_EQ(done->ticket, 7U);
   ASSERT_EQ(done->shard_outcomes.size(), 2U);
-  EXPECT_EQ(done->shard_outcomes[0].result.outcome,
+  EXPECT_EQ(done->shard_outcomes[0].result->outcome,
             proto::AdaptationOutcome::UserInterventionRequired);
   EXPECT_TRUE(done->shard_outcomes[0].reported);  // it DID report — just failed
-  EXPECT_EQ(done->shard_outcomes[1].result.outcome, proto::AdaptationOutcome::Success);
+  EXPECT_EQ(done->shard_outcomes[1].result->outcome, proto::AdaptationOutcome::Success);
   const Output* completed = first_of(out, OutputKind::EpochCompleted);
   ASSERT_NE(completed, nullptr);
   EXPECT_EQ(completed->extra, 0.0);  // failures are not orphans
@@ -173,10 +173,10 @@ TEST(CoordinatorCoreTest, CommitTimeoutOrphansSilentSubtree) {
   for (const proto::ShardOutcome& outcome : done->shard_outcomes) {
     if (outcome.shard == 2) {
       EXPECT_TRUE(outcome.reported);
-      EXPECT_EQ(outcome.result.outcome, proto::AdaptationOutcome::Success);
+      EXPECT_EQ(outcome.result->outcome, proto::AdaptationOutcome::Success);
     } else {
       EXPECT_FALSE(outcome.reported);
-      EXPECT_EQ(outcome.result.outcome, proto::AdaptationOutcome::UserInterventionRequired);
+      EXPECT_EQ(outcome.result->outcome, proto::AdaptationOutcome::UserInterventionRequired);
     }
   }
   (void)child;

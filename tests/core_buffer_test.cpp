@@ -124,7 +124,7 @@ TEST(CoreBuffer, CoordinatorBufferFormClearsAndMatches) {
   const std::vector<CoordinatorInput> inputs{
       CoordinatorInput{10, CoordinatorInput::SubmitRequest{1, {ShardTarget{0, {}}}, 0}},
       CoordinatorInput{20, CoordinatorInput::TimerFired{CoordinatorTimer::Epoch}},
-      CoordinatorInput{30, CoordinatorInput::ShardFinished{1, 0, AdaptationResult{}}},
+      CoordinatorInput{30, CoordinatorInput::ShardFinished{1, 0, std::make_shared<AdaptationResult>()}},
   };
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     std::vector<Output> buffer = stale_buffer();

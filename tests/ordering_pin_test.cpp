@@ -121,7 +121,7 @@ TEST(OrderingPins, MixedCompositeRegionDigest) {
                  hash);
     for (const proto::ShardOutcome& outcome : result->outcomes) {
       hash = fnv1a(std::to_string(outcome.shard) + ":" +
-                       std::to_string(outcome.result.steps_committed) + "\n",
+                       std::to_string(outcome.result->steps_committed) + "\n",
                    hash);
     }
   }

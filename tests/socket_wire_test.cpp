@@ -137,42 +137,83 @@ TEST_F(SocketWireTest, EpochDoneRoundTrip) {
   proto::EpochDoneMsg msg;
   msg.epoch = 9;
   msg.ctx.ticket = 5;
-  proto::ShardOutcome ok;
-  ok.shard = 1;
-  ok.reported = true;
-  ok.result.outcome = proto::AdaptationOutcome::Success;
-  ok.result.final_config = config::Configuration(82);
-  ok.result.steps_committed = 5;
-  ok.result.step_failures = 1;
-  ok.result.plans_tried = 2;
-  ok.result.message_retries = 3;
-  ok.result.started = runtime::ms(10);
-  ok.result.finished = runtime::ms(250);
-  ok.result.detail = "MAP A2, A17, A1, A16, A4";
-  proto::ShardOutcome orphan;
-  orphan.shard = 2;
-  orphan.reported = false;
-  orphan.result.outcome = proto::AdaptationOutcome::UserInterventionRequired;
-  msg.outcomes = {ok, orphan};
+  auto ok = std::make_shared<proto::AdaptationResult>();
+  ok->outcome = proto::AdaptationOutcome::Success;
+  ok->final_config = config::Configuration(82);
+  ok->steps_committed = 5;
+  ok->step_failures = 1;
+  ok->plans_tried = 2;
+  ok->message_retries = 3;
+  ok->started = runtime::ms(10);
+  ok->finished = runtime::ms(250);
+  ok->detail = "MAP A2, A17, A1, A16, A4";
+  auto orphan = std::make_shared<proto::AdaptationResult>();
+  orphan->outcome = proto::AdaptationOutcome::UserInterventionRequired;
+  msg.outcomes = {{1, true, ok}, {2, false, orphan}};
   auto decoded = round_trip(msg);
   ASSERT_NE(decoded, nullptr);
   ASSERT_EQ(decoded->outcomes.size(), 2u);
   const proto::ShardOutcome& a = decoded->outcomes[0];
   EXPECT_EQ(a.shard, 1u);
   EXPECT_TRUE(a.reported);
-  EXPECT_EQ(a.result.outcome, proto::AdaptationOutcome::Success);
-  EXPECT_EQ(a.result.final_config.bits(), 82u);
-  EXPECT_EQ(a.result.steps_committed, 5u);
-  EXPECT_EQ(a.result.step_failures, 1u);
-  EXPECT_EQ(a.result.plans_tried, 2u);
-  EXPECT_EQ(a.result.message_retries, 3u);
-  EXPECT_EQ(a.result.started, runtime::ms(10));
-  EXPECT_EQ(a.result.finished, runtime::ms(250));
-  EXPECT_EQ(a.result.detail, "MAP A2, A17, A1, A16, A4");
+  ASSERT_NE(a.result, nullptr);
+  EXPECT_EQ(a.result->outcome, proto::AdaptationOutcome::Success);
+  EXPECT_EQ(a.result->final_config.bits(), 82u);
+  EXPECT_EQ(a.result->steps_committed, 5u);
+  EXPECT_EQ(a.result->step_failures, 1u);
+  EXPECT_EQ(a.result->plans_tried, 2u);
+  EXPECT_EQ(a.result->message_retries, 3u);
+  EXPECT_EQ(a.result->started, runtime::ms(10));
+  EXPECT_EQ(a.result->finished, runtime::ms(250));
+  EXPECT_EQ(a.result->detail, "MAP A2, A17, A1, A16, A4");
   const proto::ShardOutcome& b = decoded->outcomes[1];
   EXPECT_EQ(b.shard, 2u);
   EXPECT_FALSE(b.reported);
-  EXPECT_EQ(b.result.outcome, proto::AdaptationOutcome::UserInterventionRequired);
+  ASSERT_NE(b.result, nullptr);
+  EXPECT_EQ(b.result->outcome, proto::AdaptationOutcome::UserInterventionRequired);
+}
+
+// The EpochDoneMsg frame byte for byte, as recorded when ShardOutcome still
+// held its result by value: sharing results in memory must not change what
+// travels between coordinator processes.
+TEST_F(SocketWireTest, EpochDoneGoldenBytes) {
+  proto::EpochDoneMsg msg;
+  msg.epoch = 9;
+  msg.ctx.ticket = 5;
+  msg.ctx.epoch = 3;
+  msg.ctx.parent_span = 0xfeedULL;
+  auto ok = std::make_shared<proto::AdaptationResult>();
+  ok->outcome = proto::AdaptationOutcome::Success;
+  ok->final_config = config::Configuration(82);
+  ok->steps_committed = 5;
+  ok->step_failures = 1;
+  ok->plans_tried = 2;
+  ok->message_retries = 3;
+  ok->started = runtime::ms(10);
+  ok->finished = runtime::ms(250);
+  ok->detail = "target configuration reached";
+  auto orphan = std::make_shared<proto::AdaptationResult>();
+  orphan->outcome = proto::AdaptationOutcome::UserInterventionRequired;
+  orphan->detail = "orphaned: no subtree covers this shard";
+  msg.outcomes = {{1, true, ok}, {2, false, orphan}};
+
+  const std::vector<std::uint8_t> frame = encode_frame(1, 2, 9, 42, msg);
+  static const char* const kGolden =
+      "53414450010900010000000200000009000000000000002a00000000000000ea0000000900000000"
+      "00000005000000000000000300000000000000edfe000000000000020000000100000001005200000000"
+      "0000000500000000000000010000000000000002000000000000000300000000000000102700000000"
+      "000090d00300000000001c00000074617267657420636f6e66696775726174696f6e20726561636865"
+      "640200000000030000000000000000000000000000000000000000000000000100000000000000000000"
+      "000000000000000000000000000000000000000000260000006f727068616e65643a206e6f20737562"
+      "7472656520636f766572732074686973207368617264";
+  std::string hex;
+  for (const std::uint8_t byte : frame) {
+    static const char* const kDigits = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(frame.size(), 269u);
+  EXPECT_EQ(hex, kGolden);
 }
 
 TEST_F(SocketWireTest, VideoPacketRoundTrip) {

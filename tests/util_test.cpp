@@ -173,6 +173,37 @@ TEST(Log, SinkReceivesMessagesAtOrAboveLevel) {
   EXPECT_EQ(captured[1], "ERROR/other/bad");
 }
 
+TEST(Log, DisabledRecordDoesNotEvaluateItsOperands) {
+  std::vector<std::string> captured;
+  set_log_sink([&](LogLevel, std::string_view, std::string_view message) {
+    captured.emplace_back(message);
+  });
+  const LogLevel previous = log_level();
+  set_log_level(LogLevel::Warn);
+  int calls = 0;
+  const auto side_effect = [&] {
+    ++calls;
+    return std::string("described");
+  };
+  SA_INFO("test") << "state " << side_effect();
+  EXPECT_EQ(calls, 0) << "a disabled record must not evaluate what it would stream";
+  SA_WARN("test") << "state " << side_effect();
+  EXPECT_EQ(calls, 1);
+  // Unbraced if/else around a record still parses as the author meant.
+  if (calls == 1)
+    SA_ERROR("test") << "then";
+  else
+    SA_ERROR("test") << "else";
+  SA_ERROR("test");  // a record with nothing streamed still emits
+  set_log_level(previous);
+  reset_log_sink();
+
+  ASSERT_EQ(captured.size(), 3U);
+  EXPECT_EQ(captured[0], "state described");
+  EXPECT_EQ(captured[1], "then");
+  EXPECT_EQ(captured[2], "");
+}
+
 TEST(Log, LevelNames) {
   EXPECT_EQ(to_string(LogLevel::Trace), "TRACE");
   EXPECT_EQ(to_string(LogLevel::Off), "OFF");
